@@ -191,11 +191,11 @@ def measure_pfrontier(steps: int = PF_STEPS, rounds: int = 3) -> dict:
       the check gate applies the @4-beats-frontier floor when
       ``os.cpu_count() >= 4`` (ratios are still recorded everywhere).
     * **concentrated** — a centre pile whose dirty bbox stays tiny, where
-      frontier-aware chunk plans (``pfrontier``) skip almost every tile a
+      dirty-window row bands (``pfrontier``) skip almost every cell a
       full-grid process stepper (``omp`` on the process backend) ships to
-      its workers each iteration.  The win is algorithmic — fewer tasks
-      planned, shipped, and computed — so it holds on any core count and
-      is gated unconditionally at ``PF_FULL_FLOOR``x.
+      its workers each iteration.  The win is algorithmic — fewer cells
+      computed, one command per worker — so it holds on any core count
+      and is gated unconditionally at ``PF_FULL_FLOOR``x.
 
     These numbers live in their own section rather than the drift-compared
     ``per_iteration`` table: process-pool timings on shared runners are
@@ -209,7 +209,7 @@ def measure_pfrontier(steps: int = PF_STEPS, rounds: int = 3) -> dict:
     concentrated = lambda: center_pile(PF_SIZE, PF_SIZE, GRAINS_1A)  # noqa: E731
     # the shipped pfrontier configuration: resident band batches advancing
     # PF_K fused iterations per dispatch on the persistent-worker runtime
-    pf_opts = {"policy": "static", "tile_size": 32, "k": PF_K}
+    pf_opts = {"policy": "static", "k": PF_K}
 
     frontier = min(_pf_time_steps("frontier", {}, steps, busy) for _ in range(rounds))
     busy_rows = {"frontier@1": {"seconds_per_iteration": frontier, "ratio_to_frontier": 1.0}}

@@ -10,6 +10,8 @@ variant actually parallelises:
   gathers src -> dst, write-disjoint by construction;
 * **split** — same gather model over the inner+outer tile partition (the
   two code paths write disjoint tiles of the same scratch plane);
+* **pfrontier** — one phase of ``sync_tile_k`` (``k = 1``) row-band
+  gathers, the shape of every batch the frontier stepper submits;
 * **seq/vec/frontier (sync)** — cell-granular gather: each interior cell
   reads its 4-neighbourhood from the source plane and writes its own cell
   of the destination plane (no two cells write the same destination);
@@ -40,7 +42,7 @@ from repro.analysis.halo import HaloVerdict, check_halo_depth
 from repro.analysis.races import CrossCheck, RaceReport, check_phases, cross_check, dynamic_check
 from repro.easypap.executor import TileTask
 from repro.easypap.kernel import REGISTRY, KernelRegistry
-from repro.easypap.tiling import TileGrid
+from repro.easypap.tiling import TileGrid, band_tiles
 
 __all__ = [
     "RACY_TAG",
@@ -88,6 +90,20 @@ def async_cell_phase(height: int, width: int) -> list[list[Footprint]]:
 def sync_tile_specs(height: int, width: int, tile_size: int) -> list[TileTask]:
     """The one-phase batch the sync tiled steppers submit each iteration."""
     return [TileTask("sync_tile", 0, 1, t) for t in TileGrid(height, width, tile_size)]
+
+
+def pfrontier_specs(height: int, width: int) -> list[TileTask]:
+    """The finest band batch ``pfrontier`` can submit at ``k = 1``: one band per row.
+
+    Every real batch — ``nbands`` bands of a dirty window — assigns each
+    band a disjoint run of these rows, and a window band's footprint lies
+    inside the union of its rows' full-width footprints; so two real bands
+    can only conflict if two of these rows do, and certifying this batch
+    covers every window and band count.
+    """
+    return [
+        TileTask("sync_tile_k", 0, 1, t, arg=1) for t in band_tiles((0, height, 0, width), height)
+    ]
 
 
 def gather_cell_phase(height: int, width: int, offsets) -> list[list[Footprint]]:
@@ -157,12 +173,9 @@ _MODELS: dict[tuple[str, str], Callable[[int, int, int], list[list[Footprint]]]]
     ("sandpile", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("sandpile", "lazy"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("sandpile", "omp"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
-    # the frontier selection is a subset of the full tile batch, and under
-    # the adversarial dynamic policy every cross-task pair is potentially
-    # concurrent — so certifying the full batch is a sound upper bound for
-    # every per-iteration selection; certify_dynamic_frontier additionally
-    # checks the *actual* per-iteration plans of a real run
-    ("sandpile", "pfrontier"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
+    # certify_dynamic_frontier additionally checks the *actual*
+    # per-dispatch band batches of a real run
+    ("sandpile", "pfrontier"): lambda h, w, ts: _tile_phases(h, w, ts, [pfrontier_specs(h, w)]),
     ("sandpile", "split"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
     ("asandpile", "seq"): lambda h, w, ts: async_cell_phase(h, w),
     ("asandpile", "vec"): lambda h, w, ts: async_cell_phase(h, w),
@@ -289,7 +302,6 @@ def certify_dynamic_frontier(
     *,
     height: int = 48,
     width: int = 48,
-    tile_size: int = 8,
     nworkers: int = 4,
     policy: str = "dynamic",
     chunk: int = 1,
@@ -299,21 +311,22 @@ def certify_dynamic_frontier(
 ) -> FrontierCertification:
     """Certify the *actual* per-iteration schedules of a frontier run.
 
-    The whole-batch model in ``_MODELS`` proves any subset of the full tile
-    grid race-free; this goes further and checks the concrete artefacts:
+    The whole-batch model in ``_MODELS`` proves every ``k = 1`` band batch
+    race-free; this goes further and checks the concrete artefacts:
     a :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper` is driven
     to its fixpoint on a representative off-centre grid (so windows hit the
-    grid edge) while every submitted batch is captured together with the
-    exact chunk plan the backend would build for it — cached for the full
-    batch, :func:`~repro.easypap.schedule.dynamic_chunk_plan` for frontier
-    selections.  Each captured batch is statically checked under its plan
-    and shadow-replayed on the pre-step plane snapshot; the cross-check
+    grid edge) while every submitted ``sync_tile_k`` band batch is captured
+    together with the exact chunk plan the backend would build for it
+    (:func:`~repro.easypap.schedule.dynamic_chunk_plan`).  ``nbands``
+    defaults to ``nworkers``, the decomposition a real pool runs.  Each
+    captured batch is statically checked under its plan and
+    shadow-replayed on the pre-step plane snapshot; the cross-check
     demands every observed access stay inside the declared footprints.
 
-    With ``k > 1`` the stepper submits fused ``sync_tile_k`` band batches;
-    the same machinery then certifies the temporal-blocking schedule (the
-    grown read trapezoids of concurrent bands overlap, but writes stay
-    disjoint), and the verdict additionally carries the
+    With ``k > 1`` the bands run the fused trapezoid; the same machinery
+    then certifies the temporal-blocking schedule (the grown read
+    trapezoids of concurrent bands overlap, but writes stay disjoint), and
+    the verdict additionally carries the
     :func:`~repro.analysis.halo.check_halo_depth` judgment that the
     window's growth-per-dispatch covers ``stencil radius x k`` sub-steps.
     """
@@ -344,11 +357,11 @@ def certify_dynamic_frontier(
     grid.interior[1, 1] = 6 * max(height, width)
     grid.interior[height // 2, width // 2] = 8
     backend = _CapturingBackend()
-    if nbands is None and k > 1:
-        # the capturing backend is sequential (nworkers would default the
-        # band count to 1); certify the decomposition a real pool would run
-        nbands = nworkers
-    stepper = ParallelFrontierStepper(grid, tile_size, backend=backend, k=k, nbands=nbands)
+    # the capturing backend is sequential (its worker count would default
+    # the band count to 1); certify the decomposition a real pool runs
+    stepper = ParallelFrontierStepper(
+        grid, backend=backend, k=k, nbands=nbands if nbands is not None else nworkers
+    )
     backend.planes = stepper.planes
     for _ in range(max_iterations):
         if not stepper():

@@ -104,7 +104,6 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
     from repro.easypap.job import SandpileJob
 
     n = sc.params.get("n", 32)
-    tile = sc.params.get("tile_size", 8)
     baseline_job = SandpileJob(_easypap_grid(sc.seed, n), variant="frontier")
     baseline = baseline_job.run()
     ref = _easypap_fingerprint(baseline)
@@ -125,7 +124,6 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
             variant="pfrontier",
             backend="process",
             nworkers=2,
-            tile_size=tile,
             retry=_RETRY,
             fault_injector=injector,
             degradation=log,
@@ -157,7 +155,6 @@ def run_easypap(sc: Scenario, ctx: _Ctx) -> tuple[list[str], dict]:
                 variant="pfrontier",
                 backend="process",
                 nworkers=2,
-                tile_size=tile,
                 k=2,
                 retry=_RETRY,
                 fault_injector=injector_k,

@@ -72,7 +72,13 @@ def sandpile_main(argv: list[str] | None = None) -> int:
         help="kernel variant: seq, vec, frontier (bounding-box stepping over "
         "the active region), tiled, lazy, split, omp, pfrontier (default vec)",
     )
-    p.add_argument("--tile-size", type=int, default=32)
+    p.add_argument(
+        "--tile-size",
+        type=int,
+        default=32,
+        help="tile side for the tiled, lazy, split and omp variants (pfrontier "
+        "cuts the dirty window into one row band per worker instead; default 32)",
+    )
     p.add_argument("--nworkers", type=int, default=4)
     p.add_argument("--policy", default="dynamic")
     p.add_argument(
@@ -130,7 +136,7 @@ def sandpile_main(argv: list[str] | None = None) -> int:
 
     opts = {}
     degradation = None
-    if args.variant in ("tiled", "lazy", "omp", "split", "pfrontier"):
+    if args.variant in ("tiled", "lazy", "omp", "split"):
         opts["tile_size"] = args.tile_size
     if args.variant == "pfrontier":
         opts["nworkers"] = args.nworkers
@@ -321,10 +327,11 @@ def check_main(argv: list[str] | None = None) -> int:
        (``racy-by-design`` variants must be flagged, everything else must
        certify conflict-free);
     4. dynamic-schedule certification of the parallel frontier: the exact
-       per-iteration chunk plans of a real ``pfrontier`` run are statically
-       checked and shadow-replayed (observed accesses must stay inside the
-       declared footprints) — once at ``k=1`` and once at the fused
-       temporal-blocking depth (``--fused-k``, halo verdict included);
+       per-dispatch band batches and chunk plans of a real ``pfrontier``
+       run are statically checked and shadow-replayed (observed accesses
+       must stay inside the declared footprints) — once at ``k=1`` and
+       once at the fused temporal-blocking depth (``--fused-k``, halo
+       verdict included);
     5. halo-depth sufficiency and sendrecv pattern matching for the MPI
        ghost-cell variant.
     """

@@ -214,11 +214,12 @@ class TaskBatch:
         worker processes (closures cannot cross a process boundary).
         Backends without process workers ignore it and run the closures.
     dynamic:
-        Mark batches whose task count varies per iteration (frontier
-        selections).  Plan-consuming backends then build the chunk plan
-        through the uncached :func:`~repro.easypap.schedule.dynamic_chunk_plan`
-        fast path instead of :func:`~repro.easypap.schedule.chunk_plan_cached`,
-        so a moving frontier cannot thrash the static-plan cache.
+        Mark batches whose task count varies per iteration (dirty-window
+        band batches, lazy partial tile sets).  Plan-consuming backends
+        then build the chunk plan through the uncached
+        :func:`~repro.easypap.schedule.dynamic_chunk_plan` fast path
+        instead of :func:`~repro.easypap.schedule.chunk_plan_cached`, so a
+        moving frontier cannot thrash the static-plan cache.
     bands:
         Optional :class:`BandRule` asserting the batch's tasks are a band
         decomposition replayable from ``(window, nbands)`` alone.  The
@@ -594,8 +595,9 @@ class ProcessBackend:
     ``seq`` is an epoch tag acting as the barrier generation: the collect
     loop discards replies from earlier attempts, so rebuilt pools can
     never double-account a task.  Batches without a stable identity
-    (dynamic spec batches, e.g. frontier tile selections) fall back to
-    oneshot commands carrying ``(index, TileTask)`` items.
+    (dynamic spec batches without a band rule, e.g. lazy partial tile
+    sets) fall back to oneshot commands carrying ``(index, TileTask)``
+    items.
 
     Chunks follow :func:`~repro.easypap.schedule.chunk_plan` exactly:
     ``static``/``cyclic`` chunks are pre-assigned to worker slots (chunk
@@ -616,7 +618,9 @@ class ProcessBackend:
     commands, then the pool is rebuilt: fresh workers re-attach the
     still-live shared planes by name and **re-register every resident
     batch** before the missing spans are re-submitted; tile kernels are
-    idempotent, so re-running one is safe.  Retries follow ``retry``
+    idempotent, so re-running one is safe.  A worker found dead when a
+    command cannot be sent to it fails the attempt the same way, and one
+    lost between batches is replaced before the next batch runs.  Retries follow ``retry``
     (a :class:`~repro.common.resilience.RetryPolicy`); each attempt may be
     bounded by ``task_timeout`` seconds, after which hung workers are
     terminated and the attempt counts as failed.  When retries are
@@ -788,6 +792,9 @@ class ProcessBackend:
                 try:
                     self._post(wk, buf, mode="register")
                 except OSError:
+                    # registrations go out between attempts, so no command
+                    # is in flight to settle; run() rebuilds the pool (and
+                    # replays this registration) before its next batch
                     wk.alive = False
         return bid
 
@@ -980,7 +987,9 @@ class ProcessBackend:
             try:
                 self._post(wk, buf, mode=mode)
             except OSError:
-                wk.alive = False
+                # the worker died since its last command: settle what it
+                # still owes and fail the attempt so run() rebuilds the pool
+                mark_dead(wk)
                 return False
             wk.inflight.append((time.perf_counter() - epoch, idxs))
             outstanding += 1
@@ -1063,7 +1072,12 @@ class ProcessBackend:
             sentinels = {
                 wk.proc.sentinel: wk for wk in self._workers if wk.alive and wk.inflight
             }
-            if not conns:  # pragma: no cover - deaths above already drained
+            if not conns:
+                # commands are owed but no live worker holds them: a crash,
+                # never a kernel bug — fail the attempt so run() rebuilds
+                failure = failure or BrokenProcessPool(
+                    f"{outstanding} command(s) outstanding with no live worker"
+                )
                 break
             ready = multiprocessing.connection.wait(
                 list(conns) + list(sentinels), timeout=deadline.remaining()
@@ -1125,6 +1139,12 @@ class ProcessBackend:
             return self._run_threads(batch, iteration, kind)
         if self._workers is None:
             raise SchedulingError("bind_planes() must be called before running tile batches")
+        if not all(wk.alive for wk in self._workers):
+            # a worker died outside an attempt's collect loop (a failed
+            # registration, or a death its batch's survivors absorbed):
+            # restore the full pool rather than run on fewer workers
+            self._log_degradation("pool-rebuild", "worker died between batches")
+            self._rebuild_pool()
         n = len(batch)
         chunks = _plan_for(batch, self.nworkers, self.policy, self.chunk)
         epoch = time.perf_counter()

@@ -119,7 +119,7 @@ class SandpileJob(Job):
         else:
             raise ConfigurationError(f"unknown sandpile config {p['config']!r}")
         options = {}
-        if p["variant"] in ("tiled", "lazy", "omp", "split", "pfrontier"):
+        if p["variant"] in ("tiled", "lazy", "omp", "split"):
             options["tile_size"] = int(p["tile_size"])
         if p["variant"] == "pfrontier":
             options["nworkers"] = int(p["nworkers"])

@@ -148,30 +148,6 @@ class TileGrid:
                 out.append(self.at(ny, nx))
         return out
 
-    def tiles_in_window(self, window: tuple[int, int, int, int]) -> list[Tile]:
-        """Tiles intersecting the half-open interior rectangle *window*.
-
-        ``window`` is ``(y0, y1, x0, x1)`` in interior coordinates (the
-        frontier steppers' dirty bounding box).  The result is computed
-        from tile-coordinate arithmetic — O(tiles in the window), never a
-        scan over the whole decomposition — and returned in row-major
-        order, so selecting prebuilt per-tile tasks stays cheap even when
-        the window is a tiny corner of a huge grid.  Degenerate (empty or
-        inverted) windows select nothing.
-        """
-        y0, y1, x0, x1 = window
-        y0, x0 = max(y0, 0), max(x0, 0)
-        y1, x1 = min(y1, self.height), min(x1, self.width)
-        if y0 >= y1 or x0 >= x1:
-            return []
-        ty0, ty1 = y0 // self.tile_h, -(-y1 // self.tile_h)
-        tx0, tx1 = x0 // self.tile_w, -(-x1 // self.tile_w)
-        return [
-            self._tiles[ty * self.tiles_x + tx]
-            for ty in range(ty0, ty1)
-            for tx in range(tx0, tx1)
-        ]
-
     def is_border_tile(self, tile: Tile) -> bool:
         """True when the tile touches the grid edge (and hence the sink).
 

@@ -103,7 +103,8 @@ def frontier_to_counters(
 
     *window_log* is the ``(iteration, (y0, y1, x0, x1), active_tiles)``
     list kept by :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper`
-    (and anything mirroring its contract).  Each entry becomes one counter
+    (whose third field counts the dispatch's row bands) and anything
+    mirroring its contract.  Each entry becomes one counter
     sample — ``window_cells`` and ``active_tiles`` series, stamped with
     the iteration as the timestamp — so the shrinking frontier renders as
     a decaying curve next to the worker lanes of the same run.  Returns

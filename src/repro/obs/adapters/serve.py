@@ -6,7 +6,9 @@ The service records raw series (``serve_queue_latency_seconds``,
 summary: p50/p99 quantile estimates per series (the standard
 Prometheus-style linear interpolation inside the owning cumulative
 bucket) and a compact SLO table the CLI prints after ``repro-serve
-run``/``bench``.
+run``/``bench``.  Every series carries its sample count, and a quantile
+is reported only when at least :data:`MIN_TAIL_SAMPLES` samples lie
+beyond it — below that the bucket interpolation is noise.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ __all__ = ["SERVE_PID", "estimate_quantile", "slo_summary", "render_slo"]
 
 #: track-group name the service records its spans under
 SERVE_PID = "serve"
+
+#: a quantile is reported only when at least this many samples lie beyond
+#: it (p50 needs n >= 20, p99 needs n >= 1000)
+MIN_TAIL_SAMPLES = 10
 
 
 def estimate_quantile(hist: Histogram, q: float, **labels) -> float | None:
@@ -58,34 +64,38 @@ def _series_labelsets(hist: Histogram) -> list[dict]:
     return [row["labels"] for row in hist.samples()]
 
 
+def _slo_row(hist: Histogram, labels: dict) -> dict:
+    """Count plus p50/p99 for one series; a quantile with fewer than
+    :data:`MIN_TAIL_SAMPLES` samples beyond it is None."""
+    n = hist.count(**labels)
+    row: dict = {"count": n}
+    for name, q in (("p50", 0.50), ("p99", 0.99)):
+        # rounded so float error in 1 - q cannot drop a supported quantile
+        supported = round((1.0 - q) * n, 9) >= MIN_TAIL_SAMPLES
+        row[name] = estimate_quantile(hist, q, **labels) if supported else None
+    return row
+
+
 def slo_summary(metrics: MetricsRegistry) -> dict:
     """The serve SLO view of *metrics* as a plain dict.
 
     Keys: ``queue_latency`` (per-tenant p50/p99/count),
     ``job_time`` (per-(tenant, substrate, outcome) p50/p99/count),
-    ``cache_hit_ratio``, ``jobs`` (outcome counts per tenant).
+    ``cache_hit_ratio``, ``jobs`` (outcome counts per tenant).  A
+    quantile too few samples support is None (see :data:`MIN_TAIL_SAMPLES`).
     """
     out: dict = {"queue_latency": {}, "job_time": {}, "jobs": {}, "cache_hit_ratio": None}
     qh = metrics.get("serve_queue_latency_seconds")
     if isinstance(qh, Histogram):
         for labels in _series_labelsets(qh):
-            name = labels.get("tenant", "?")
-            out["queue_latency"][name] = {
-                "count": qh.count(**labels),
-                "p50": estimate_quantile(qh, 0.50, **labels),
-                "p99": estimate_quantile(qh, 0.99, **labels),
-            }
+            out["queue_latency"][labels.get("tenant", "?")] = _slo_row(qh, labels)
     jh = metrics.get("serve_job_seconds")
     if isinstance(jh, Histogram):
         for labels in _series_labelsets(jh):
             key = "/".join(
                 labels.get(k, "?") for k in ("tenant", "substrate", "outcome")
             )
-            out["job_time"][key] = {
-                "count": jh.count(**labels),
-                "p50": estimate_quantile(jh, 0.50, **labels),
-                "p99": estimate_quantile(jh, 0.99, **labels),
-            }
+            out["job_time"][key] = _slo_row(jh, labels)
     jobs = metrics.get("serve_jobs_total")
     if jobs is not None:
         for row in jobs.samples():
@@ -98,8 +108,11 @@ def slo_summary(metrics: MetricsRegistry) -> dict:
     return out
 
 
-def _ms(v: float | None) -> str:
-    return "-" if v is None else f"{v * 1e3:.1f}ms"
+def _quantiles(row: dict) -> str:
+    """``n=<count>`` followed by every quantile the count supports."""
+    parts = [f"n={row['count']}"]
+    parts += [f"{q}={row[q] * 1e3:.1f}ms" for q in ("p50", "p99") if row[q] is not None]
+    return " ".join(parts)
 
 
 def render_slo(metrics: MetricsRegistry) -> str:
@@ -107,13 +120,9 @@ def render_slo(metrics: MetricsRegistry) -> str:
     s = slo_summary(metrics)
     lines = ["serve SLO summary"]
     for tenant, row in sorted(s["queue_latency"].items()):
-        lines.append(
-            f"  queue[{tenant}]: n={row['count']} p50={_ms(row['p50'])} p99={_ms(row['p99'])}"
-        )
+        lines.append(f"  queue[{tenant}]: {_quantiles(row)}")
     for key, row in sorted(s["job_time"].items()):
-        lines.append(
-            f"  job[{key}]: n={row['count']} p50={_ms(row['p50'])} p99={_ms(row['p99'])}"
-        )
+        lines.append(f"  job[{key}]: {_quantiles(row)}")
     for tenant, row in sorted(s["jobs"].items()):
         cells = ", ".join(f"{k}={v}" for k, v in sorted(row.items()))
         lines.append(f"  outcomes[{tenant}]: {cells}")

@@ -1,96 +1,79 @@
-"""Parallel active frontier: frontier-aware chunk plans on real workers.
+"""Parallel active frontier: dirty-window row bands on resident workers.
 
 PR 3's frontier steppers are ~4x faster than lazy but single-worker; the
 process backend is multi-worker but steps the full tile grid.  This module
-fuses them: each iteration, only the tiles intersecting the current dirty
-bounding box (grown by one cell — the exactness invariant of the windowed
-synchronous step) are mapped onto the backend's workers, and the chunk
-plan is rebuilt *over the active set* every iteration, so work rebalances
-as the bbox moves.
+fuses them: each dispatch covers only the current dirty bounding box,
+grown by ``k`` cells (the exactness invariant of the windowed synchronous
+step, halo depth ``radius x k``), cut into ``nbands`` full-width
+:func:`~repro.easypap.tiling.band_tiles` row bands — one per worker by
+default — for every fused step count ``k``, ``k = 1`` included.  The
+window is recomputed every dispatch, so work rebalances as the bbox moves.
 
 Key design points:
 
 * **Single live plane + scratch, no parity flip.**  Workers always read
   plane 0 (the live grid) and write plane 1 (scratch) — a pure gather, so
-  active tiles are mutually independent and any schedule is race-free.
-  After the barrier the parent copies the *window* back into the live
-  plane: cells of active tiles outside the window recompute to themselves
-  (all their neighbours are stable), so the O(window) copy-back is exact
-  and the scratch plane never needs a full-grid refresh.  Per-iteration
-  parent cost is O(window), worker cost O(active tiles) — the frontier
-  win survives parallel dispatch.
-* **Zero-rebuild dynamic batches.**  Task closures and picklable
-  :class:`~repro.easypap.executor.TileTask` specs are built once at
-  construction, indexed by tile id; a shrinking frontier *selects from*
-  them (``specs[t.index]``), never reconstructs.  The all-tiles batch is
-  cached whole.
-* **Uncached dynamic chunk plans.**  Partial batches carry
-  ``dynamic=True``, routing the backend through
-  :func:`~repro.easypap.schedule.dynamic_chunk_plan` — a moving frontier
-  produces a new task count every iteration, which would thrash (and
-  eventually evict the hot static plans from) the LRU behind
+  bands are mutually independent and any schedule is race-free.  After
+  the barrier the parent copies the *window* back into the live plane, so
+  per-dispatch parent cost is O(window) and the scratch plane never needs
+  a full-grid refresh.
+* **One resident command per worker.**  Band batches carry a
+  :class:`~repro.easypap.executor.BandRule`; the process backend registers
+  the rule's ``(kernel, src, dst, k)`` once and each dispatch ships only
+  ``(window, nbands, spans)`` — one pipe round trip per worker per
+  dispatch, however many cells the window holds.  Batches are flagged
+  ``dynamic``: a moving window changes the task count, which must not
+  thrash the LRU behind
   :func:`~repro.easypap.schedule.chunk_plan_cached`.
 * **Crash recovery intact.**  Dispatch goes through
-  ``ProcessBackend.run``, so worker deaths mid-frontier-batch are healed
-  by the PR 2 machinery (pool rebuild, re-submit only missing tiles); the
-  parent-side closures run against the same shared planes if the backend
-  degrades to threads.
-* **Optional compiled inner loop.**  With ``use_compiled=True`` tiles run
-  the ``sync_tile_cnc`` kernel from :mod:`repro.sandpile.compiled` —
+  ``ProcessBackend.run``, so worker deaths mid-batch are healed by the
+  pool rebuild (resident registrations replayed, only missing bands
+  re-submitted); the parent-side closures run against the same shared
+  planes if the backend degrades to threads.
+* **Optional compiled inner loop.**  With ``use_compiled=True`` bands run
+  the ``sync_tile_kc`` kernel from :mod:`repro.sandpile.compiled` —
   numba-fused when the ``[compiled]`` extra is installed, bit-identical
-  pure NumPy otherwise.
-* **Temporal blocking (``k > 1``).**  With fused step count *k* the
-  stepper advances the grid *k* iterations per dispatch: the window is
-  the bbox grown by ``k`` (halo depth ``radius x k``), decomposed into
-  :func:`~repro.easypap.tiling.band_tiles` row bands — one per worker —
-  each running the ``sync_tile_k`` /``sync_tile_kc`` trapezoid kernel.
-  Band batches carry a :class:`~repro.easypap.executor.BandRule`, so the
-  process backend's resident dispatch ships only ``(window, nbands,
-  spans)`` per *k* iterations.  The changed flag is ``or``-ed with bbox
+  pure NumPy otherwise — instead of ``sync_tile_k``; both reduce to the
+  single-step gather at ``k = 1``.
+* **Temporal blocking (``k > 1``).**  Bands run the trapezoid kernel for
+  ``k`` sub-steps per dispatch.  The changed flag is ``or``-ed with bbox
   liveness because a parallel sandpile can sit on a periodic orbit whose
   period divides ``k`` (``f^k(x) == x`` with ``x`` unstable must not
   report a fixpoint).
 
-``window_log`` records ``(iteration, window, active_tiles)`` per step so
-the obs adapter can render the shrinking frontier as counter tracks next
-to the worker lanes.
+``window_log`` records ``(iteration, window, bands)`` per dispatch so the
+obs adapter can render the shrinking frontier as counter tracks next to
+the worker lanes.
 """
 
 from __future__ import annotations
 
-import repro.sandpile.compiled  # noqa: F401 - registers sync_tile_cnc/_kc for forked workers
+import repro.sandpile.compiled  # noqa: F401 - registers sync_tile_kc for forked workers
 from repro.common.errors import ConfigurationError
 from repro.easypap.executor import BandRule, SequentialBackend, TaskBatch, TileTask
 from repro.easypap.grid import Grid2D
-from repro.easypap.tiling import Tile, TileGrid, band_tiles
-from repro.sandpile.compiled import sync_window, sync_window_k
-from repro.sandpile.kernels import (
-    Window,
-    grow_window,
-    sync_tile_k_array,
-    sync_tile_nc,
-    unstable_bbox,
-)
+from repro.easypap.tiling import Tile, band_tiles
+from repro.sandpile.compiled import sync_window_k
+from repro.sandpile.kernels import Window, grow_window, sync_tile_k_array, unstable_bbox
 
 __all__ = ["ParallelFrontierStepper"]
 
-#: relative cost of merely touching a tile vs. computing one cell
+#: relative cost of merely touching a band vs. computing one cell
 _TOUCH_COST = 1.0
 
 
 class ParallelFrontierStepper:
-    """Synchronous frontier stepper dispatching active tiles to a backend.
+    """Synchronous frontier stepper dispatching dirty-window bands to a backend.
 
     Step-for-step equivalent to
     :class:`~repro.sandpile.vectorized.FrontierSyncStepper` (same iteration
-    count, same fixpoint, same sink accounting), with the window's tile
-    cover executed by the backend instead of one monolithic slice update.
+    count, same fixpoint, same sink accounting), with the window's row
+    bands executed by the backend instead of one monolithic slice update.
     """
 
     def __init__(
         self,
         grid: Grid2D,
-        tile_size: int = 32,
         *,
         backend=None,
         use_compiled: bool = False,
@@ -102,20 +85,18 @@ class ParallelFrontierStepper:
         if nbands is not None and nbands < 1:
             raise ConfigurationError(f"nbands must be >= 1, got {nbands}")
         self.grid = grid
-        self.tiles = TileGrid(grid.height, grid.width, tile_size)
         self.backend = backend if backend is not None else SequentialBackend()
         self.k = k
-        #: band count for the fused (k > 1) decomposition; defaults to one
-        #: band per backend worker so every worker owns one contiguous strip
+        #: row bands per dispatch; defaults to one band per backend worker
+        #: so every worker owns one contiguous strip of the window
         self.nbands = nbands if nbands is not None else max(
             1, getattr(self.backend, "nworkers", 1)
         )
         self.iterations = 0
         self.tiles_computed = 0
-        self.tiles_skipped = 0
         self.window_cells = 0
-        #: per-iteration ``(iteration, window, active_tiles)`` — the obs
-        #: adapter turns this into frontier counter tracks
+        #: per-dispatch ``(iteration, window, bands)`` — the obs adapter
+        #: turns this into frontier counter tracks
         self.window_log: list[tuple[int, Window, int]] = []
         self.use_compiled = use_compiled
         self._scratch = grid.data.copy()
@@ -125,30 +106,10 @@ class ParallelFrontierStepper:
             grid.swap_buffer(plane0)
             self._scratch = plane1
             self._shared = True
-        # -- zero-rebuild caches: per-tile closures and specs, built once,
-        # indexed by tile id; iterations only *select* from them
-        kernel = "sync_tile_cnc" if use_compiled else "sync_tile_nc"
-        self._band_kernel = "sync_tile_kc" if use_compiled else "sync_tile_k"
-        self._all_tiles = list(self.tiles)
-        self._tasks = [self._make_task(t) for t in self._all_tiles]
-        # specs are built even off the process backend: the analysis layer
-        # certifies the exact batches the stepper submits
-        self._specs: list[TileTask] = [TileTask(kernel, 0, 1, t) for t in self._all_tiles]
-        self._full_batch: TaskBatch | None = None
+        self._kernel = "sync_tile_kc" if use_compiled else "sync_tile_k"
         self._bbox = unstable_bbox(grid.interior)
 
     def _make_task(self, tile: Tile):
-        if self.use_compiled:
-            def task() -> float:
-                sync_window(self.grid.data, self._scratch, tile.y0, tile.y1, tile.x0, tile.x1)
-                return _TOUCH_COST + tile.area
-        else:
-            def task() -> float:
-                sync_tile_nc(self.grid.data, self._scratch, tile)
-                return _TOUCH_COST + tile.area
-        return task
-
-    def _make_band_task(self, tile: Tile):
         k = self.k
         if self.use_compiled:
             def task() -> float:
@@ -160,40 +121,23 @@ class ParallelFrontierStepper:
                 return _TOUCH_COST + tile.area
         return task
 
-    def _band_batch_for(self, window: Window) -> tuple[TaskBatch, int]:
-        """Fused-k batch over *window* cut into row bands.
+    def _band_batch_for(self, window: Window) -> TaskBatch:
+        """The batch over *window* cut into ``nbands`` row bands.
 
         The batch carries a :class:`~repro.easypap.executor.BandRule`, so
-        on the process backend the per-iteration command is just
+        on the process backend the per-dispatch command is just
         ``(window, nbands, spans)`` against a resident registration; the
         spec/closure lists exist for the thread/sequential paths and for
         the analysis layer's certification of the submitted batch.
         """
         tiles = band_tiles(window, self.nbands)
-        kernel = self._band_kernel
-        batch = TaskBatch(
-            [self._make_band_task(t) for t in tiles],
+        kernel = self._kernel
+        return TaskBatch(
+            [self._make_task(t) for t in tiles],
             tiles=tiles,
             spec=[TileTask(kernel, 0, 1, t, arg=self.k) for t in tiles],
             dynamic=True,
             bands=BandRule(kernel, 0, 1, self.k, window, len(tiles)),
-        )
-        return batch, len(tiles)
-
-    def _batch_for(self, active: list[Tile]) -> TaskBatch:
-        if len(active) == len(self._all_tiles):
-            # the all-tiles batch is parameter-stable: cache it whole and
-            # let the backend use the memoised static chunk plan
-            if self._full_batch is None:
-                self._full_batch = TaskBatch(
-                    self._tasks, tiles=self._all_tiles, spec=self._specs
-                )
-            return self._full_batch
-        return TaskBatch(
-            [self._tasks[t.index] for t in active],
-            tiles=active,
-            spec=[self._specs[t.index] for t in active],
-            dynamic=True,
         )
 
     @property
@@ -230,16 +174,10 @@ class ParallelFrontierStepper:
             return False
         grid = self.grid
         window = grow_window(bbox, grid.height, grid.width, k)
-        if k == 1:
-            active = self.tiles.tiles_in_window(window)
-            batch = self._batch_for(active)
-            ntiles = len(active)
-            self.tiles_skipped += len(self.tiles) - ntiles
-        else:
-            batch, ntiles = self._band_batch_for(window)
-        self.tiles_computed += ntiles
+        batch = self._band_batch_for(window)
+        self.tiles_computed += len(batch)
         self.window_cells += (window[1] - window[0]) * (window[3] - window[2])
-        self.window_log.append((self.iterations - k, window, ntiles))
+        self.window_log.append((self.iterations - k, window, len(batch)))
 
         self.backend.run(batch, iteration=self.iterations - k)
 
@@ -258,8 +196,7 @@ class ParallelFrontierStepper:
             grid.sink_absorbed += int(old.sum()) - int(new.sum())
         live[ys, xs] = new
         self._bbox = unstable_bbox(grid.interior, window)
-        if k == 1:
-            return changed
         # a parallel sandpile can orbit with period dividing k: state equal
         # after k steps does NOT imply a fixpoint while unstable cells remain
+        # (at k = 1 an unchanged window already means no unstable cell)
         return changed or (self._bbox is not None)

@@ -12,7 +12,8 @@ Registered variants
 ``frontier`` (bounding-box stepping over the active region), ``tiled``,
 ``lazy``, ``omp`` (tiled + scheduling policy; pick the executor with
 ``backend="simulated"|"threads"|"process"|"sequential"``), ``pfrontier``
-(frontier-aware dynamic chunk plans on real process workers), ``split``
+(dirty-window row bands on resident process workers, for every fused
+step count ``k``), ``split``
 (inner/outer SIMD split).
 
 ``asandpile`` : ``seq``, ``vec`` (sweep), ``frontier``, ``tiled``,
@@ -162,12 +163,11 @@ def _sandpile_omp(
 @register_variant(
     "sandpile",
     "pfrontier",
-    description="frontier-aware dynamic chunk plans on real workers",
+    description="dirty-window row bands on resident workers, for every k",
 )
 def _sandpile_pfrontier(
     grid: Grid2D,
     *,
-    tile_size: int = 32,
     nworkers: int = 4,
     policy: str = "dynamic",
     chunk: int = 1,
@@ -190,8 +190,9 @@ def _sandpile_pfrontier(
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector, metrics=metrics,
     )
+    # **_opts absorbs tile_size: bands follow the dirty window, not a tile grid
     return ParallelFrontierStepper(
-        grid, tile_size, backend=be, use_compiled=use_compiled, k=k, nbands=nbands
+        grid, backend=be, use_compiled=use_compiled, k=k, nbands=nbands
     )
 
 

@@ -24,6 +24,14 @@ class TestVariantPhases:
         assert len(phases) == 4  # checkerboard waves
         assert sum(len(p) for p in phases) == 4  # 2x2 tiles total
 
+    def test_pfrontier_model_is_one_row_band_per_row(self):
+        # tile_size plays no part: pfrontier cuts row bands, not tiles
+        phases = variant_phases("sandpile", "pfrontier", height=6, width=5, tile_size=2)
+        assert len(phases) == 1
+        assert len(phases[0]) == 6
+        assert all(len(fp.writes) == 5 for fp in phases[0])
+        assert certify_variant("sandpile", "pfrontier").verdict == "race-free"
+
     def test_unknown_variant_has_no_model(self):
         assert variant_phases("sandpile", "cuda", height=4, width=4, tile_size=2) is None
 
@@ -95,7 +103,7 @@ class TestCertifyDynamicFrontier:
         from repro.analysis.variants import certify_dynamic_frontier
 
         cert = certify_dynamic_frontier(
-            height=20, width=20, tile_size=4, nworkers=4, max_iterations=120
+            height=20, width=20, nworkers=4, max_iterations=120
         )
         assert cert.ok
         assert cert.iterations > 0
@@ -109,11 +117,36 @@ class TestCertifyDynamicFrontier:
         assert "race-free" in text
         assert str(cert.iterations) in text
 
+    def test_k1_certifies_the_band_batches_the_stepper_submits(self, monkeypatch):
+        """At k=1 every captured batch is ``nworkers`` (or fewer) full-window
+        ``sync_tile_k`` row bands, and the verdict is race-free."""
+        import repro.analysis.variants as variants
+
+        seen = []
+        real = variants.dynamic_check
+
+        def spy(specs, planes, **kw):
+            seen.append(list(specs))
+            return real(specs, planes, **kw)
+
+        monkeypatch.setattr(variants, "dynamic_check", spy)
+        cert = variants.certify_dynamic_frontier(
+            height=20, width=20, nworkers=4, k=1, max_iterations=120
+        )
+        assert cert.ok and cert.halo is None
+        assert len(seen) == cert.iterations > 0
+        for specs in seen:
+            assert 1 <= len(specs) <= 4
+            assert {(t.kernel, t.src, t.dst, t.arg) for t in specs} == {("sync_tile_k", 0, 1, 1)}
+            # full-width bands cutting one window into contiguous row runs
+            assert len({(t.tile.x0, t.tile.w) for t in specs}) == 1
+            assert all(a.tile.y1 == b.tile.y0 for a, b in zip(specs, specs[1:]))
+
     def test_certifies_under_static_policy_too(self):
         from repro.analysis.variants import certify_dynamic_frontier
 
         cert = certify_dynamic_frontier(
-            height=16, width=16, tile_size=4, nworkers=2, policy="static",
+            height=16, width=16, nworkers=2, policy="static",
             max_iterations=120,
         )
         assert cert.ok

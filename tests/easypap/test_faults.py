@@ -5,6 +5,9 @@ marked ``faults`` and run as their own CI job with a hard timeout; locally
 they are part of the normal suite.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -123,7 +126,7 @@ class TestFrontierCrashRecovery:
         be = ProcessBackend(
             2, "dynamic", retry=FAST_RETRY, degradation=log, fault_injector=injector
         )
-        with ParallelFrontierStepper(g, tile_size=4, backend=be) as stepper:
+        with ParallelFrontierStepper(g, backend=be) as stepper:
             steps = 0
             while stepper():
                 steps += 1
@@ -136,6 +139,65 @@ class TestFrontierCrashRecovery:
         assert steps == ref_steps
         assert np.array_equal(g.interior, ref.interior)
         assert g.sink_absorbed == ref.sink_absorbed
+
+
+def _kill_worker(wk) -> None:
+    os.kill(wk.proc.pid, signal.SIGKILL)
+    wk.proc.join(timeout=5)
+    assert not wk.proc.is_alive()
+
+
+class TestDispatchBrokenPipe:
+    """A worker that dies before a command reaches it surfaces as a send
+    failure; that must rebuild the pool, never read as a kernel bug."""
+
+    @needs_processes
+    def test_kill_before_second_run_command_rebuilds_once(self, monkeypatch):
+        g, scratch, tiles, spec, expected = make_sync_setup(n=24)
+        assert len(tiles) >= 30
+        log = DegradationLog()
+        with ProcessBackend(2, "dynamic", retry=FAST_RETRY, degradation=log) as be:
+            p0, p1 = be.bind_planes(g.data, scratch)
+            post = be._post
+            runs_to_worker0 = 0
+
+            def killing_post(wk, buf, *, mode):
+                nonlocal runs_to_worker0
+                if wk.wid == 0 and mode != "register":
+                    runs_to_worker0 += 1
+                    if runs_to_worker0 == 2:
+                        # dies with its first command (and maybe its
+                        # reply) still in flight, before the prefetch
+                        _kill_worker(wk)
+                post(wk, buf, mode=mode)
+
+            monkeypatch.setattr(be, "_post", killing_post)
+            r = be.run(make_closure_batch(p0, p1, tiles, spec))
+            assert len(r.spans) == len(tiles)
+            assert np.array_equal(p1[1:-1, 1:-1], expected.interior)
+            assert be.uses_processes
+        assert len(log.by_action("pool-rebuild")) == 1
+
+    @needs_processes
+    def test_worker_lost_at_registration_is_replaced_before_next_batch(self):
+        g, scratch, tiles, spec, expected = make_sync_setup()
+        log = DegradationLog()
+        with ProcessBackend(2, "dynamic", retry=FAST_RETRY, degradation=log) as be:
+            p0, p1 = be.bind_planes(g.data, scratch)
+            be.run(make_closure_batch(p0, p1, tiles, spec))
+            _kill_worker(be._workers[0])
+            # a fresh two-task batch registers first: the registration send
+            # finds worker 0 gone, and worker 1 absorbs both tasks
+            pair = make_closure_batch(p0, p1, tiles[:2], spec[:2])
+            r = be.run(pair)
+            assert len(r.spans) == 2
+            assert not be._workers[0].alive
+            r = be.run(make_closure_batch(p0, p1, tiles, spec))
+            assert len(r.spans) == len(tiles)
+            assert all(wk.alive for wk in be._workers)
+            assert np.array_equal(p1[1:-1, 1:-1], expected.interior)
+        rebuilds = log.by_action("pool-rebuild")
+        assert [e.reason for e in rebuilds] == ["worker died between batches"]
 
 
 class TestRetryExhaustion:

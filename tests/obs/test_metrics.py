@@ -199,3 +199,37 @@ class TestCountersShim:
         assert reg.get("mapreduce_counter_total").value(
             group="task", name="reduce_groups"
         ) == 4
+
+
+class TestServeSloSampleCounts:
+    """The SLO table prints n always, and a quantile only when at least
+    ten samples lie beyond it."""
+
+    @staticmethod
+    def _registry(n: int) -> MetricsRegistry:
+        reg = MetricsRegistry()
+        h = reg.histogram("serve_queue_latency_seconds", buckets=(0.001, 0.005, 0.01))
+        for _ in range(n):
+            h.observe(0.003, tenant="a")
+        return reg
+
+    def test_single_sample_prints_count_and_no_quantile(self):
+        from repro.obs.adapters.serve import render_slo, slo_summary
+
+        reg = self._registry(1)
+        row = slo_summary(reg)["queue_latency"]["a"]
+        assert row == {"count": 1, "p50": None, "p99": None}
+        line = render_slo(reg).splitlines()[1]
+        assert line == "  queue[a]: n=1"
+
+    @pytest.mark.parametrize("n, shown", [(19, []), (20, ["p50"]), (1000, ["p50", "p99"])])
+    def test_quantile_appears_once_ten_samples_lie_beyond_it(self, n, shown):
+        from repro.obs.adapters.serve import render_slo, slo_summary
+
+        reg = self._registry(n)
+        row = slo_summary(reg)["queue_latency"]["a"]
+        assert [q for q in ("p50", "p99") if row[q] is not None] == shown
+        line = render_slo(reg).splitlines()[1]
+        assert line.startswith(f"  queue[a]: n={n}")
+        for q in ("p50", "p99"):
+            assert (f"{q}=" in line) == (q in shown)

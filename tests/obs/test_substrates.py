@@ -334,7 +334,7 @@ class TestFrontierCounters:
         from repro.sandpile.pfrontier import ParallelFrontierStepper
 
         g = center_pile(24, 24, 200)
-        with ParallelFrontierStepper(g, tile_size=8) as stepper:
+        with ParallelFrontierStepper(g) as stepper:
             while stepper():
                 pass
         tracer = Tracer()

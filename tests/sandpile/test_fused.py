@@ -88,19 +88,14 @@ def test_band_cover_equals_k_global_steps(interior, k, nbands):
     assert np.array_equal(dst[1:-1, 1:-1], oracle.interior)
 
 
-@given(
-    interior=interiors,
-    k=st.integers(2, 5),
-    nbands=st.integers(1, 4),
-    tile_size=st.sampled_from([4, 8, 16]),
-)
+@given(interior=interiors, k=st.integers(2, 5), nbands=st.integers(1, 4))
 @settings(**SETTINGS)
-def test_fused_stepper_reaches_unfused_fixpoint(interior, k, nbands, tile_size):
+def test_fused_stepper_reaches_unfused_fixpoint(interior, k, nbands):
     """Abelian invariance: k-fused dispatch lands on the k=1 fixpoint."""
 
     def fixpoint(kk, nb):
         g = Grid2D.from_interior(interior)
-        with ParallelFrontierStepper(g, tile_size, k=kk, nbands=nb) as st_:
+        with ParallelFrontierStepper(g, k=kk, nbands=nb) as st_:
             for _ in range(100_000):
                 if not st_():
                     break

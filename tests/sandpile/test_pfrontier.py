@@ -1,11 +1,12 @@
-"""Tests for the parallel active-frontier stepper (dynamic chunk plans).
+"""Tests for the parallel active-frontier stepper (dirty-window row bands).
 
 Pins :class:`~repro.sandpile.pfrontier.ParallelFrontierStepper` to the
-oracle and to the single-worker frontier stepper step-for-step, and checks
-the scheduling contract the design depends on: batches *select from*
-construction-time tasks/specs (zero rebuild), partial batches are flagged
-``dynamic`` so the backend plans them without touching the LRU cache, and
-the all-tiles batch is one cached object.
+oracle and to the single-worker frontier stepper step-for-step — with one
+band and with three, so band seams are exercised on the sequential
+backend — and checks the dispatch contract the design depends on: every
+batch is a ``k = 1`` :class:`~repro.easypap.executor.BandRule` over the
+previous dirty bbox grown by one, and on the process backend each batch
+costs at most one resident command per worker.
 """
 
 import numpy as np
@@ -14,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.easypap.executor import ProcessBackend, SequentialBackend
+from repro.easypap.executor import BandRule, ProcessBackend, SequentialBackend
 from repro.easypap.grid import Grid2D
 from repro.easypap.tiling import TileGrid
 from repro.sandpile.compiled import HAVE_NUMBA, sync_window, sync_window_numpy
-from repro.sandpile.kernels import sync_tile_nc
+from repro.sandpile.kernels import grow_window, sync_tile_nc
 from repro.sandpile.model import center_pile, random_uniform
 from repro.sandpile.pfrontier import ParallelFrontierStepper
 from repro.sandpile.simulate import run_to_fixpoint
 from repro.sandpile.theory import stabilize
 from repro.sandpile.vectorized import FrontierSyncStepper
+
+#: band counts every oracle test runs under: one band (no seam) and three
+NBANDS = (1, 3)
 
 grids = arrays(
     dtype=np.int64,
@@ -47,14 +51,18 @@ def _drive(stepper, limit=200_000):
 
 
 class _RecordingBackend(SequentialBackend):
-    """Sequential backend that keeps every batch it was handed."""
+    """Sequential backend that keeps every batch it was handed, with the
+    stepper's dirty bbox at the time of submission."""
 
     def __init__(self):
         super().__init__()
+        self.stepper = None
         self.batches = []
+        self.bboxes = []
 
     def run(self, batch, iteration=0):
         self.batches.append(batch)
+        self.bboxes.append(self.stepper._bbox)
         return super().run(batch, iteration=iteration)
 
 
@@ -65,11 +73,12 @@ class _RecordingBackend(SequentialBackend):
 @settings(**SETTINGS)
 def test_fixpoint_matches_oracle(interior):
     oracle = stabilize(Grid2D.from_interior(interior))
-    g = Grid2D.from_interior(interior)
-    with ParallelFrontierStepper(g, tile_size=3) as stepper:
-        _drive(stepper)
-    assert np.array_equal(g.interior, oracle.interior)
-    assert g.sink_absorbed == oracle.sink_absorbed
+    for nbands in NBANDS:
+        g = Grid2D.from_interior(interior)
+        with ParallelFrontierStepper(g, nbands=nbands) as stepper:
+            _drive(stepper)
+        assert np.array_equal(g.interior, oracle.interior)
+        assert g.sink_absorbed == oracle.sink_absorbed
 
 
 @given(interior=grids)
@@ -77,35 +86,38 @@ def test_fixpoint_matches_oracle(interior):
 def test_matches_frontier_sync_step_for_step(interior):
     """Same trajectory as the single-worker frontier stepper, not just the
     same fixpoint: per-step change flags, planes, and sink all agree."""
-    ref = Grid2D.from_interior(interior)
-    ref_stepper = FrontierSyncStepper(ref)
-    g = Grid2D.from_interior(interior)
-    with ParallelFrontierStepper(g, tile_size=4) as stepper:
-        for _ in range(200_000):
-            c_ref = ref_stepper()
-            c = stepper()
-            assert c == c_ref
-            assert np.array_equal(g.data, ref.data)
-            assert g.sink_absorbed == ref.sink_absorbed
-            if not c:
-                break
+    for nbands in NBANDS:
+        ref = Grid2D.from_interior(interior)
+        ref_stepper = FrontierSyncStepper(ref)
+        g = Grid2D.from_interior(interior)
+        with ParallelFrontierStepper(g, nbands=nbands) as stepper:
+            for _ in range(200_000):
+                c_ref = ref_stepper()
+                c = stepper()
+                assert c == c_ref
+                assert np.array_equal(g.data, ref.data)
+                assert g.sink_absorbed == ref.sink_absorbed
+                if not c:
+                    break
 
 
 def test_two_piles_match_oracle():
-    g = Grid2D(33, 47)
-    g.interior[3, 5] = 900
-    g.interior[28, 40] = 700
-    oracle = stabilize(g.copy())
-    with ParallelFrontierStepper(g, tile_size=8) as stepper:
-        _drive(stepper)
-    assert np.array_equal(g.interior, oracle.interior)
-    assert g.sink_absorbed == oracle.sink_absorbed
+    base = Grid2D(33, 47)
+    base.interior[3, 5] = 900
+    base.interior[28, 40] = 700
+    oracle = stabilize(base.copy())
+    for nbands in NBANDS:
+        g = base.copy()
+        with ParallelFrontierStepper(g, nbands=nbands) as stepper:
+            _drive(stepper)
+        assert np.array_equal(g.interior, oracle.interior)
+        assert g.sink_absorbed == oracle.sink_absorbed
 
 
 def test_all_stable_returns_false_immediately():
     g = Grid2D.from_interior(np.full((6, 6), 3, dtype=np.int64))
     before = g.data.copy()
-    with ParallelFrontierStepper(g, tile_size=4) as stepper:
+    with ParallelFrontierStepper(g) as stepper:
         assert stepper() is False
         assert np.array_equal(g.data, before)
     assert g.sink_absorbed == 0
@@ -113,7 +125,7 @@ def test_all_stable_returns_false_immediately():
 
 def test_reset_rescans_after_external_edit():
     g = Grid2D.from_interior(np.zeros((8, 8), dtype=np.int64))
-    with ParallelFrontierStepper(g, tile_size=4) as stepper:
+    with ParallelFrontierStepper(g) as stepper:
         assert stepper() is False
         g.interior[2, 2] = 5  # external edit the stepper did not see
         stepper.reset()
@@ -124,49 +136,38 @@ def test_reset_rescans_after_external_edit():
 # -- scheduling contract ------------------------------------------------------
 
 
-def test_partial_batches_select_not_rebuild():
-    """A shrinking frontier reuses construction-time tasks and specs by
-    identity — the zero-rebuild invariant extended to dynamic tile sets."""
+@pytest.mark.parametrize("nbands", NBANDS)
+def test_every_batch_is_a_k1_band_rule_over_the_grown_bbox(nbands):
+    """Each dispatch is ``nbands`` row bands of the previous dirty bbox
+    grown by one — the resident protocol's batch shape, at ``k = 1``."""
     g = center_pile(24, 24, 160)
     be = _RecordingBackend()
-    stepper = ParallelFrontierStepper(g, tile_size=8, backend=be)
+    stepper = ParallelFrontierStepper(g, backend=be, nbands=nbands)
+    be.stepper = stepper
     _drive(stepper)
     assert be.batches, "stepper never submitted work"
-    partial = [b for b in be.batches if len(b) < len(stepper._all_tiles)]
-    assert partial, "a 160-grain pile on a 24x24 grid must have partial batches"
-    for batch in partial:
+    for batch, bbox in zip(be.batches, be.bboxes):
+        window = grow_window(bbox, g.height, g.width, 1)
+        assert batch.bands == BandRule("sync_tile_k", 0, 1, 1, window, len(batch))
+        assert len(batch) == min(nbands, window[1] - window[0])
         assert batch.dynamic
-        for task, tile, spec in zip(batch.tasks, batch.tiles, batch.spec):
-            assert task is stepper._tasks[tile.index]
-            assert spec is stepper._specs[tile.index]
-
-
-def test_full_batch_is_cached_whole():
-    g = Grid2D.from_interior(np.full((16, 16), 6, dtype=np.int64))
-    be = _RecordingBackend()
-    stepper = ParallelFrontierStepper(g, tile_size=8, backend=be)
-    stepper()
-    stepper()
-    full = [b for b in be.batches if len(b) == len(stepper._all_tiles)]
-    assert len(full) >= 2, "a saturated grid must submit full batches"
-    assert full[0] is full[1], "the all-tiles batch must be one cached object"
-    assert not full[0].dynamic
+        assert all(t.kernel == "sync_tile_k" and t.arg == 1 for t in batch.spec)
 
 
 def test_counters_and_window_log():
     g = center_pile(32, 32, 400)
-    with ParallelFrontierStepper(g, tile_size=8) as stepper:
+    with ParallelFrontierStepper(g, nbands=3) as stepper:
         n = _drive(stepper)
     # the final call sees a stable grid and submits nothing
     assert stepper.iterations == n + 1
     assert len(stepper.window_log) == n
     assert stepper.tiles_computed > 0
-    total = len(stepper.tiles)
     for i, (iteration, window, active) in enumerate(stepper.window_log):
         assert iteration == i
         y0, y1, x0, x1 = window
         assert 0 <= y0 < y1 <= g.height and 0 <= x0 < x1 <= g.width
-        assert 1 <= active <= total
+        assert active == min(3, y1 - y0)
+    assert stepper.tiles_computed == sum(a for _, _, a in stepper.window_log)
     assert stepper.window_cells == sum(
         (w[1] - w[0]) * (w[3] - w[2]) for _, w, _ in stepper.window_log
     )
@@ -181,9 +182,7 @@ def test_process_backend_bit_identical():
     ref = base.copy()
     ref_steps = _drive(FrontierSyncStepper(ref))
     g = base.copy()
-    with ParallelFrontierStepper(
-        g, tile_size=8, backend=ProcessBackend(2, "dynamic")
-    ) as stepper:
+    with ParallelFrontierStepper(g, backend=ProcessBackend(2, "dynamic")) as stepper:
         steps = _drive(stepper)
     assert steps == ref_steps
     assert np.array_equal(g.interior, ref.interior)
@@ -191,9 +190,29 @@ def test_process_backend_bit_identical():
 
 
 @needs_processes
+def test_process_dispatch_sends_one_resident_command_per_worker():
+    """No per-tile oneshot traffic: one band-rule registration per worker,
+    then at most one resident command per worker per batch."""
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    g = center_pile(32, 32, 400)
+    with ParallelFrontierStepper(
+        g, backend=ProcessBackend(2, "dynamic", metrics=reg)
+    ) as stepper:
+        _drive(stepper)
+    commands = reg.get("easypap_dispatch_commands_total")
+    batches = reg.get("easypap_dispatch_batches_total").value()
+    assert batches == len(stepper.window_log) > 0
+    assert commands.value(mode="oneshot") == 0
+    assert commands.value(mode="register") == 2
+    assert 0 < commands.value(mode="resident") <= 2 * batches
+
+
+@needs_processes
 def test_close_detaches_shared_memory():
     g = center_pile(16, 16, 60)
-    stepper = ParallelFrontierStepper(g, tile_size=8, backend=ProcessBackend(2))
+    stepper = ParallelFrontierStepper(g, backend=ProcessBackend(2))
     _drive(stepper)
     final = g.interior.copy()
     stepper.close()
@@ -234,7 +253,7 @@ def test_compiled_stepper_matches_oracle():
     base = center_pile(24, 24, 300)
     oracle = stabilize(base.copy())
     g = base.copy()
-    with ParallelFrontierStepper(g, tile_size=8, use_compiled=True) as stepper:
+    with ParallelFrontierStepper(g, use_compiled=True, nbands=3) as stepper:
         _drive(stepper)
     assert np.array_equal(g.interior, oracle.interior)
     assert g.sink_absorbed == oracle.sink_absorbed
