@@ -252,8 +252,6 @@ def footprint_for(task: TileTask, shape: tuple[int, int], *, allow_trace: bool =
 
 declare_footprint("sync_tile", sync_tile_footprint)
 declare_footprint("sync_tile_nc", sync_tile_footprint)
-# the compiled window gather computes the same cells through a fused loop
-declare_footprint("sync_tile_cnc", sync_tile_footprint)
 # the temporal-blocking kernels share one model: k comes from task.arg
 declare_footprint("sync_tile_k", sync_tile_k_footprint)
 declare_footprint("sync_tile_kc", sync_tile_k_footprint)

@@ -87,9 +87,9 @@ def async_cell_phase(height: int, width: int) -> list[list[Footprint]]:
     return [units]
 
 
-def sync_tile_specs(height: int, width: int, tile_size: int) -> list[TileTask]:
-    """The one-phase batch the sync tiled steppers submit each iteration."""
-    return [TileTask("sync_tile", 0, 1, t) for t in TileGrid(height, width, tile_size)]
+def tile_specs(kernel: str, height: int, width: int, tile_size: int) -> list[TileTask]:
+    """The one-phase batch a :class:`~repro.sandpile.omp.TiledStepper` submits per iteration."""
+    return [TileTask(kernel, 0, 1, t) for t in TileGrid(height, width, tile_size)]
 
 
 def pfrontier_specs(height: int, width: int) -> list[TileTask]:
@@ -128,13 +128,6 @@ MOORE_OFFSETS = tuple(
 )
 
 
-def gallery_tile_specs(
-    kernel: str, height: int, width: int, tile_size: int
-) -> list[TileTask]:
-    """The one-phase batch a gallery ``tiled`` variant submits per iteration."""
-    return [TileTask(kernel, 0, 1, t) for t in TileGrid(height, width, tile_size)]
-
-
 def async_wave_specs(height: int, width: int, tile_size: int) -> list[list[TileTask]]:
     """The four serialized checkerboard wave batches of the async stepper."""
     from repro.sandpile.omp import wave_partition
@@ -170,13 +163,13 @@ _MODELS: dict[tuple[str, str], Callable[[int, int, int], list[list[Footprint]]]]
     ("sandpile", "seq"): lambda h, w, ts: sync_cell_phase(h, w),
     ("sandpile", "vec"): lambda h, w, ts: sync_cell_phase(h, w),
     ("sandpile", "frontier"): lambda h, w, ts: sync_cell_phase(h, w),
-    ("sandpile", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
-    ("sandpile", "lazy"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
-    ("sandpile", "omp"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
+    ("sandpile", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("sync_tile_nc", h, w, ts)]),
+    ("sandpile", "lazy"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("sync_tile_nc", h, w, ts)]),
+    ("sandpile", "omp"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("sync_tile_nc", h, w, ts)]),
     # certify_dynamic_frontier additionally checks the *actual*
     # per-dispatch band batches of a real run
     ("sandpile", "pfrontier"): lambda h, w, ts: _tile_phases(h, w, ts, [pfrontier_specs(h, w)]),
-    ("sandpile", "split"): lambda h, w, ts: _tile_phases(h, w, ts, [sync_tile_specs(h, w, ts)]),
+    ("sandpile", "split"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("sync_tile_nc", h, w, ts)]),
     ("asandpile", "seq"): lambda h, w, ts: async_cell_phase(h, w),
     ("asandpile", "vec"): lambda h, w, ts: async_cell_phase(h, w),
     ("asandpile", "frontier"): lambda h, w, ts: async_cell_phase(h, w),
@@ -186,9 +179,9 @@ _MODELS: dict[tuple[str, str], Callable[[int, int, int], list[list[Footprint]]]]
     # gallery kernels carry no hand declaration: their tiled models run on
     # footprints the symbolic interpreter infers from the kernel source
     ("heat", "vec"): lambda h, w, ts: gather_cell_phase(h, w, CROSS_OFFSETS),
-    ("heat", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [gallery_tile_specs("heat_tile", h, w, ts)]),
+    ("heat", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("heat_tile", h, w, ts)]),
     ("life", "vec"): lambda h, w, ts: gather_cell_phase(h, w, MOORE_OFFSETS),
-    ("life", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [gallery_tile_specs("life_tile", h, w, ts)]),
+    ("life", "tiled"): lambda h, w, ts: _tile_phases(h, w, ts, [tile_specs("life_tile", h, w, ts)]),
 }
 
 

@@ -118,13 +118,11 @@ class SandpileJob(Job):
             )
         else:
             raise ConfigurationError(f"unknown sandpile config {p['config']!r}")
-        options = {}
-        if p["variant"] in ("tiled", "lazy", "omp", "split"):
-            options["tile_size"] = int(p["tile_size"])
-        if p["variant"] == "pfrontier":
-            options["nworkers"] = int(p["nworkers"])
-            options["k"] = int(p["k"])
-        job = cls(grid, p["kernel"], p["variant"], **options)
+        # every variant factory absorbs the options it does not take
+        job = cls(
+            grid, p["kernel"], p["variant"],
+            tile_size=int(p["tile_size"]), nworkers=int(p["nworkers"]), k=int(p["k"]),
+        )
         job._spec_params = {k: p[k] for k in sorted(cls.SPEC_DEFAULTS)}
         return job
 

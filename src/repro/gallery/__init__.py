@@ -12,9 +12,13 @@ Importing this package registers everything:
 
 * ``heat``: 5-point Jacobi heat diffusion (``vec``, ``tiled`` variants)
 * ``life``: Conway's Game of Life, Moore neighbourhood (``vec``, ``tiled``)
+
+The ``tiled`` variants build the sandpile's double-buffered
+:class:`~repro.sandpile.omp.TiledStepper` with their own registered
+kernel, so they run on every executor backend — sequential, simulated,
+threads and real worker processes — bit-identically.
 """
 
 from repro.gallery import heat, life  # noqa: F401  (registration imports)
-from repro.gallery.stepper import TiledKernelStepper
 
-__all__ = ["TiledKernelStepper", "heat", "life"]
+__all__ = ["heat", "life"]

@@ -18,7 +18,7 @@ from repro.common.errors import ConfigurationError
 from repro.easypap.executor import register_tile_kernel
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import register_variant
-from repro.gallery.stepper import TiledKernelStepper
+from repro.sandpile.omp import TiledStepper
 
 __all__ = ["ALPHA", "heat_tile", "heat_step"]
 
@@ -86,4 +86,4 @@ def _heat_vec(grid: Grid2D, **_opts):
 @register_variant("heat", "tiled", description="tiled Jacobi diffusion (registry kernel)")
 def _heat_tiled(grid: Grid2D, *, tile_size: int = 32, backend=None, **_opts):
     _require_float(grid)
-    return TiledKernelStepper(grid, "heat_tile", tile_size, backend=backend)
+    return TiledStepper(grid, tile_size, backend=backend, kernel="heat_tile")

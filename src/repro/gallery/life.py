@@ -18,7 +18,7 @@ import numpy as np
 from repro.easypap.executor import register_tile_kernel
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import register_variant
-from repro.gallery.stepper import TiledKernelStepper
+from repro.sandpile.omp import TiledStepper
 
 __all__ = ["life_tile", "life_step"]
 
@@ -82,4 +82,4 @@ def _life_vec(grid: Grid2D, **_opts):
 
 @register_variant("life", "tiled", description="tiled Life (registry kernel)")
 def _life_tiled(grid: Grid2D, *, tile_size: int = 32, backend=None, **_opts):
-    return TiledKernelStepper(grid, "life_tile", tile_size, backend=backend)
+    return TiledStepper(grid, tile_size, backend=backend, kernel="life_tile")

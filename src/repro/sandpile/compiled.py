@@ -9,15 +9,13 @@ module degrades to a pure-NumPy window kernel with identical semantics;
 nothing else in the repo may import numba directly, so the dependency
 stays strictly optional.
 
-Both paths are exposed through :func:`sync_window` and the registered
-``sync_tile_cnc`` tile kernel (the compiled counterpart of
-``sync_tile_nc``: no per-tile change test, detection happens per batch).
-The temporal-blocking counterpart is :func:`sync_window_k` / the
+Both paths are exposed through :func:`sync_window_k` and the registered
 ``sync_tile_kc`` tile kernel: *k* fused synchronous steps with all
 intermediate states in stack-local buffers (the compiled analogue of
-:func:`~repro.sandpile.kernels.sync_tile_k_array`).  Tests assert the two
-implementations are bit-identical, so a host without numba exercises
-exactly the semantics a host with numba ships.
+:func:`~repro.sandpile.kernels.sync_tile_k_array`, the ``sync_tile_k``
+kernel).  Tests assert the two implementations are bit-identical, so a
+host without numba exercises exactly the semantics a host with numba
+ships.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.easypap.executor import register_tile_kernel
 from repro.easypap.tiling import Tile
 from repro.sandpile.kernels import sync_tile_k_array
 
-__all__ = ["HAVE_NUMBA", "sync_window", "sync_window_numpy", "sync_window_k"]
+__all__ = ["HAVE_NUMBA", "sync_window_k"]
 
 try:  # pragma: no cover - exercised only when the [compiled] extra is installed
     from numba import njit
@@ -37,25 +35,6 @@ try:  # pragma: no cover - exercised only when the [compiled] extra is installed
 except ImportError:
     njit = None
     HAVE_NUMBA = False
-
-
-def sync_window_numpy(src: np.ndarray, dst: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> None:
-    """Pure-NumPy synchronous gather of interior window ``[y0:y1, x0:x1]``.
-
-    *src*/*dst* are framed ``(H+2, W+2)`` planes; window coordinates are
-    interior coordinates, shifted by +1 internally to skip the sink frame.
-    Semantically identical to :func:`~repro.sandpile.kernels.sync_tile_nc`
-    over the same rectangle.
-    """
-    ys = slice(y0 + 1, y1 + 1)
-    xs = slice(x0 + 1, x1 + 1)
-    dst[ys, xs] = (
-        (src[ys, xs] & 3)
-        + (src[ys, x0:x1] >> 2)
-        + (src[ys, x0 + 2 : x1 + 2] >> 2)
-        + (src[y0:y1, xs] >> 2)
-        + (src[y0 + 2 : y1 + 2, xs] >> 2)
-    )
 
 
 def sync_window_k_numpy(
@@ -142,19 +121,11 @@ if HAVE_NUMBA:  # pragma: no cover - the numpy fallback is what CI measures
                     + (a[ly + 1, lx] >> 2)
                 )
 
-    #: compiled synchronous window gather (numba fused loop)
-    sync_window = _sync_window_jit
     #: compiled fused k-step window gather (numba temporal blocking)
     sync_window_k = _sync_window_k_jit
 
 else:
-    sync_window = sync_window_numpy
     sync_window_k = sync_window_k_numpy
-
-
-def _sync_tile_cnc_kernel(planes, task) -> None:
-    t = task.tile
-    sync_window(planes[task.src], planes[task.dst], t.y0, t.y1, t.x0, t.x1)
 
 
 def _sync_tile_kc_kernel(planes, task) -> None:
@@ -162,5 +133,4 @@ def _sync_tile_kc_kernel(planes, task) -> None:
     sync_window_k(planes[task.src], planes[task.dst], t.y0, t.y1, t.x0, t.x1, int(task.arg or 1))
 
 
-register_tile_kernel("sync_tile_cnc", _sync_tile_cnc_kernel)
 register_tile_kernel("sync_tile_kc", _sync_tile_kc_kernel)

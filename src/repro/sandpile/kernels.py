@@ -25,8 +25,8 @@ Kernel glossary (paper names in parentheses):
   toppling inside one tile until the tile is internally stable, pushing
   surplus grains into the one-cell halo around the tile — the in-place
   analogue of cache-friendly tile processing.  ``sync_tile_nc`` is the
-  lazy path's form: no per-tile change test (detection happens once,
-  vectorised, per batch via ``LazyFlags.mark_from_diff``).
+  tiled stepper's form: no per-tile change test (detection happens once,
+  vectorised, per batch by diffing the planes).
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ def sync_tile(src: np.ndarray, dst: np.ndarray, tile: Tile) -> bool:
 def sync_tile_nc(src: np.ndarray, dst: np.ndarray, tile: Tile) -> None:
     """:func:`sync_tile` without the per-tile change test.
 
-    The lazy stepper derives all changed flags in one vectorised pass
-    afterwards (``LazyFlags.mark_from_diff``), so the per-tile ``.any()``
-    reduction would be pure overhead.
+    The tiled stepper detects change in one vectorised plane diff per
+    batch (``LazyFlags.mark_from_diff`` when lazy), so the per-tile
+    ``.any()`` reduction would be pure overhead.
     """
     ys = slice(tile.y0 + 1, tile.y1 + 1)
     xs = slice(tile.x0 + 1, tile.x1 + 1)

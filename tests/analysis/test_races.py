@@ -14,7 +14,7 @@ from repro.analysis.races import (
     cross_check,
     dynamic_check,
 )
-from repro.analysis.variants import async_wave_specs, sync_tile_specs
+from repro.analysis.variants import async_wave_specs, tile_specs
 from repro.easypap.executor import TileTask
 from repro.easypap.schedule import POLICIES
 
@@ -63,7 +63,7 @@ class TestConcurrencyModel:
 class TestStaticChecker:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sync_batch_race_free_under_every_policy(self, policy):
-        specs = sync_tile_specs(8, 8, 4)
+        specs = tile_specs("sync_tile_nc", 8, 8, 4)
         report = check_batch(specs, (10, 10), nworkers=4, policy=policy, chunk=1)
         assert report.verdict == "race-free"
         assert not report.racy
@@ -105,7 +105,7 @@ class TestStaticChecker:
         # seeded corruption: redirect one task's destination tile onto
         # another task's tile -- two concurrent writers of the same cells
         rng = np.random.default_rng(1234)
-        specs = sync_tile_specs(8, 8, 4)
+        specs = tile_specs("sync_tile_nc", 8, 8, 4)
         clean = check_batch(specs, (10, 10), nworkers=4, policy="dynamic", chunk=1)
         assert not clean.racy
         victim, donor = rng.choice(len(specs), size=2, replace=False)
@@ -129,7 +129,7 @@ class TestStaticChecker:
 
 class TestDynamicChecker:
     def test_sync_dynamic_race_free_and_sound(self):
-        specs = sync_tile_specs(8, 8, 4)
+        specs = tile_specs("sync_tile_nc", 8, 8, 4)
         static = check_batch(specs, (10, 10), nworkers=4, policy="dynamic", chunk=1)
         planes = [framed(8, 8, 5), np.zeros((10, 10), dtype=np.int64)]
         dynamic, trace = dynamic_check(specs, planes, nworkers=4, policy="dynamic", chunk=1)
@@ -149,7 +149,7 @@ class TestDynamicChecker:
 
     def test_cross_check_flags_underdeclaration(self):
         # dynamic sees a conflict the static model missed -> not sound
-        specs = sync_tile_specs(4, 4, 2)
+        specs = tile_specs("sync_tile_nc", 4, 4, 2)
         static = check_batch(specs, (6, 6), nworkers=2, policy="dynamic", chunk=1)
         planes = [framed(4, 4, 8)]  # src == dst: in-place through sync kernels
         in_place = [TileTask(t.kernel, 0, 0, t.tile) for t in specs]
@@ -175,7 +175,7 @@ grid_strategy = dict(
 @given(**grid_strategy)
 @settings(**SETTINGS)
 def test_property_sync_agrees_race_free(h, w, ts, nworkers, policy):
-    specs = sync_tile_specs(h, w, ts)
+    specs = tile_specs("sync_tile_nc", h, w, ts)
     shape = (h + 2, w + 2)
     static = check_batch(specs, shape, nworkers=nworkers, policy=policy, chunk=1)
     dynamic, _ = dynamic_check(
@@ -273,7 +273,7 @@ class TestPlanOverride:
         # uncached plan the process backend would execute
         from repro.easypap.schedule import dynamic_chunk_plan
 
-        specs = sync_tile_specs(8, 8, 4)[:3]  # 3 active tiles of 4
+        specs = tile_specs("sync_tile_nc", 8, 8, 4)[:3]  # 3 active tiles of 4
         plan = dynamic_chunk_plan(len(specs), 4, "dynamic", 1)
         report = check_batch(specs, (10, 10), nworkers=4, policy="dynamic", chunk=1, plan=plan)
         assert report.verdict == "race-free"

@@ -56,7 +56,6 @@ STOCK_KERNELS = (
     "heat_tile",
     "life_tile",
     "sync_tile",
-    "sync_tile_cnc",
     "sync_tile_k",
     "sync_tile_kc",
     "sync_tile_nc",
@@ -121,7 +120,7 @@ class TestInferFootprint:
 
 class TestVerifyDeclarations:
     @pytest.mark.parametrize(
-        "kernel", ["sync_tile", "sync_tile_nc", "sync_tile_cnc", "async_tile_relax"]
+        "kernel", ["sync_tile", "sync_tile_nc", "async_tile_relax"]
     )
     def test_hand_declarations_reproduced_exactly(self, kernel):
         check = verify_declaration(kernel)

@@ -39,6 +39,17 @@ class TestRun:
             assert job.progress().done
 
 
+class TestFromSpec:
+    def test_spec_options_reach_the_variant_factory(self):
+        # nworkers is part of the cache key, so it must also shape the run
+        job = SandpileJob.from_spec({"variant": "omp", "nworkers": 3, "tile_size": 4})
+        with job:
+            job.step()
+            stepper = job._stepper
+            assert stepper.backend.nworkers == 3
+            assert stepper.tiles.tile_h == 4
+
+
 class TestCheckpoint:
     def test_mid_run_roundtrip_bit_identical(self):
         with SandpileJob(_pile()) as oracle:

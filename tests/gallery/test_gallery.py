@@ -3,7 +3,8 @@
 Both assignments register tile kernels *without* hand-written footprint
 declarations — test_symbolic.py covers their certification; here we check
 the numerics: the tiled registry-driven stepper must match the vec
-variant and the plain whole-interior reference step for step.
+variant and the plain whole-interior reference step for step, and give
+bit-identical results on every executor backend.
 """
 
 import numpy as np
@@ -11,10 +12,32 @@ import pytest
 
 import repro.gallery  # noqa: F401 - registers variants and tile kernels
 from repro.common.errors import ConfigurationError
+from repro.easypap.executor import ProcessBackend, SimulatedBackend, ThreadBackend, make_backend
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import get_variant
 from repro.gallery.heat import ALPHA, heat_step
 from repro.gallery.life import life_step
+
+
+needs_processes = pytest.mark.skipif(
+    not ProcessBackend.available(), reason="fork/shared_memory unavailable"
+)
+
+#: every parallel backend a tiled gallery variant must run on
+BACKENDS = [
+    pytest.param(lambda: ThreadBackend(2), id="threads"),
+    pytest.param(lambda: SimulatedBackend(2, "dynamic"), id="simulated"),
+    pytest.param(lambda: make_backend("process", 2), id="process", marks=needs_processes),
+]
+
+
+def run_tiled(kernel, grid, steps, tile_size, backend=None):
+    """Step ``kernel/tiled`` *steps* times; returns the changed flags."""
+    stepper = get_variant(kernel, "tiled").fn(grid, tile_size=tile_size, backend=backend)
+    try:
+        return [stepper() for _ in range(steps)]
+    finally:
+        stepper.close()
 
 
 def random_heat_grid(height, width, seed=0):
@@ -49,6 +72,15 @@ class TestHeat:
             tiled()
         np.testing.assert_allclose(b.interior, a.interior)
         tiled.close()
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_tiled_backend_matches_sequential(self, make):
+        a = random_heat_grid(33, 29, seed=7)
+        b = a.copy()
+        expect = run_tiled("heat", a, 5, 8)
+        assert run_tiled("heat", b, 5, 8, backend=make()) == expect
+        assert np.array_equal(b.interior, a.interior)
+        assert b.sink_absorbed == 0  # heat leaving the frame is not a sink
 
     def test_heat_flows_toward_cold_boundary(self):
         # absorbing zero frame: total interior heat strictly decreases
@@ -113,6 +145,14 @@ class TestLife:
             tiled()
         assert np.array_equal(b.interior, a.interior)
         tiled.close()
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_tiled_backend_matches_sequential(self, make):
+        a = random_life_grid(24, 17, seed=11)
+        b = a.copy()
+        expect = run_tiled("life", a, 6, 5)
+        assert run_tiled("life", b, 6, 5, backend=make()) == expect
+        assert np.array_equal(b.interior, a.interior)
 
     def test_still_life_reports_no_change(self):
         g = Grid2D(8, 8)

@@ -246,21 +246,29 @@ class TestZeroRebuildBatches:
             stepper.close()
 
     def test_in_process_backends_never_build_specs(self, monkeypatch):
-        # closures suffice in-process: no TileTask should ever be constructed
+        # in-process closures run the registry kernel on the specs built at
+        # construction (one list per plane parity): iterations build none
         counter = self._count_tiletask(monkeypatch)
         g = center_pile(24, 24, 1_000)
         stepper = TiledSyncStepper(g, 8, backend=SimulatedBackend(4, "dynamic"), lazy=True)
+        built_at_init = counter["n"]
+        assert built_at_init == 2 * len(stepper.tiles)
         for _ in range(10):
             stepper()
-        assert counter["n"] == 0
+        assert counter["n"] == built_at_init
 
     def test_full_batch_object_reused_across_iterations(self):
         g = center_pile(24, 24, 1_000)
         stepper = TiledSyncStepper(g, 8, backend=SimulatedBackend(2, "static"))
         all_tiles = stepper._all_tiles
+        # one cached batch per plane parity, on every backend
         first = stepper._batch_for(all_tiles)
         stepper()
+        second = stepper._batch_for(all_tiles)
+        stepper()
         assert stepper._batch_for(all_tiles) is first
+        stepper()
+        assert stepper._batch_for(all_tiles) is second
 
     def test_task_closures_read_live_planes(self):
         # the cached closures must follow the plane flip, or iteration 2

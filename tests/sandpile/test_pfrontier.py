@@ -17,9 +17,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.easypap.executor import BandRule, ProcessBackend, SequentialBackend
 from repro.easypap.grid import Grid2D
-from repro.easypap.tiling import TileGrid
-from repro.sandpile.compiled import HAVE_NUMBA, sync_window, sync_window_numpy
-from repro.sandpile.kernels import grow_window, sync_tile_nc
+from repro.sandpile.compiled import HAVE_NUMBA, sync_window_k, sync_window_k_numpy
+from repro.sandpile.kernels import grow_window
 from repro.sandpile.model import center_pile, random_uniform
 from repro.sandpile.pfrontier import ParallelFrontierStepper
 from repro.sandpile.simulate import run_to_fixpoint
@@ -237,18 +236,6 @@ def test_registry_variant_runs_on_processes():
 # -- compiled path (numba optional, NumPy fallback always present) ------------
 
 
-@given(interior=grids)
-@settings(**SETTINGS)
-def test_sync_window_numpy_matches_tile_kernel(interior):
-    g = Grid2D.from_interior(interior)
-    dst_a = g.data.copy()
-    dst_b = g.data.copy()
-    for tile in TileGrid(g.height, g.width, 4):
-        sync_tile_nc(g.data, dst_a, tile)
-        sync_window_numpy(g.data, dst_b, tile.y0, tile.y1, tile.x0, tile.x1)
-    assert np.array_equal(dst_a, dst_b)
-
-
 def test_compiled_stepper_matches_oracle():
     base = center_pile(24, 24, 300)
     oracle = stabilize(base.copy())
@@ -261,6 +248,6 @@ def test_compiled_stepper_matches_oracle():
 
 def test_sync_window_fallback_wiring():
     if HAVE_NUMBA:
-        assert sync_window is not sync_window_numpy
+        assert sync_window_k is not sync_window_k_numpy
     else:
-        assert sync_window is sync_window_numpy
+        assert sync_window_k is sync_window_k_numpy
