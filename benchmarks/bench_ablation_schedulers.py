@@ -20,7 +20,7 @@ schedule level.
 import pytest
 
 from conftest import emit, once
-from repro.carbon.tab2 import WIDE_LEVELS, exhaustive_optimum, question1_baselines
+from repro.carbon.tab2 import exhaustive_optimum, question1_baselines
 from repro.common.tables import Table
 from repro.wrench.heft import heft_placement
 from repro.wrench.platform import CLOUD

@@ -255,23 +255,24 @@ def measure_pfrontier(steps: int = PF_STEPS, rounds: int = 3) -> dict:
 
 
 def measure_tracer_overhead(rounds: int = 5) -> float:
-    """Disabled-tracer overhead on the fig1a frontier hot path.
+    """Disabled-tracer overhead on the fig1a lazy tiled hot path.
 
-    Runs the frontier variant to the fig1a fixpoint with ``obs=None``
-    (the untraced loop) and with ``obs=NullTracer()`` (the traced loop
-    taking its falsy fast branch), and returns the min-of-rounds wall-time
-    ratio (NullTracer / None).  The observability contract is that a
-    disabled tracer costs one branch per iteration, so the gate holds this
-    ratio at or below 1.05.
+    Runs the lazy variant (whose backend records one span per tile when
+    traced) to the fig1a fixpoint with ``tracer=None`` and with
+    ``tracer=NullTracer()`` (the falsy tracer, which must skip span
+    recording), and returns the min-of-rounds wall-time ratio
+    (NullTracer / None).  The observability contract is that a disabled
+    tracer costs one branch per batch, so the gate holds this ratio at or
+    below 1.05.
     """
     from repro.obs import NullTracer
     from repro.sandpile.model import center_pile
     from repro.sandpile.simulate import run_to_fixpoint
 
-    def run_once(obs) -> float:
+    def run_once(tracer) -> float:
         grid = center_pile(SIZE, SIZE, GRAINS_1A)
         t0 = time.perf_counter()
-        run_to_fixpoint(grid, "sandpile", "frontier", obs=obs)
+        run_to_fixpoint(grid, "sandpile", "lazy", tracer=tracer)
         return time.perf_counter() - t0
 
     off, null = [], []
@@ -483,7 +484,7 @@ def cmd_check(tolerance: float) -> int:
         overhead = measure_tracer_overhead(rounds=9)
     if overhead > 1.05:
         failures.append(
-            f"disabled-tracer overhead on fig1a frontier is "
+            f"disabled-tracer overhead on fig1a lazy is "
             f"{100 * (overhead - 1):.1f}% (> 5% budget)"
         )
     else:

@@ -24,16 +24,15 @@ Usage::
 import sys
 from pathlib import Path
 
-from repro.easypap.monitor import Trace
+from repro.easypap.monitor import iteration_view
 from repro.obs import Tracer, ascii_timeline, diff_summaries, save_chrome_trace, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
 from repro.sandpile import center_pile, run_to_fixpoint
 
 
 def traced_run(policy: str) -> tuple[Tracer, int]:
     """Stabilise the same centre pile under one schedule; return its tracer."""
     grid = center_pile(48, 48, 4_000)
-    trace = Trace()
+    tracer = Tracer()
     result = run_to_fixpoint(
         grid,
         "sandpile",
@@ -43,20 +42,9 @@ def traced_run(policy: str) -> tuple[Tracer, int]:
         policy=policy,
         backend="simulated",
         lazy=True,          # uneven tile activity -> the schedules actually differ
-        trace=trace,
+        tracer=tracer,
     )
-    return trace_to_tracer(trace), result.iterations
-
-
-def iteration_view(tracer: Tracer, iteration: int) -> Tracer:
-    """One iteration's spans as their own tracer (timelines, export)."""
-    sub = Tracer(process="easypap")
-    sub.absorb([s for s in tracer.spans() if s.args["iteration"] == iteration])
-    return sub
-
-
-def summarize_iteration(tracer: Tracer, iteration: int):
-    return summarize(tracer, where=lambda s: s.args["iteration"] == iteration)
+    return tracer, result.iterations
 
 
 def main(argv: list[str]) -> int:
@@ -73,11 +61,12 @@ def main(argv: list[str]) -> int:
     # clocks make this a property of the workload, not of this machine
     pick = max(
         range(iterations),
-        key=lambda i: summarize_iteration(tracers["static"], i).imbalance,
+        key=lambda i: summarize(iteration_view(tracers["static"], i)).imbalance,
     )
     print(f"most static-imbalanced iteration: {pick}\n")
 
-    summaries = {p: summarize_iteration(t, pick) for p, t in tracers.items()}
+    views = {p: iteration_view(t, pick) for p, t in tracers.items()}
+    summaries = {p: summarize(v) for p, v in views.items()}
     for policy, s in summaries.items():
         print(s.render(title=f"{policy} iteration {pick}"))
     print()
@@ -89,14 +78,14 @@ def main(argv: list[str]) -> int:
     print(diff.render())
     print()
 
-    for policy, tracer in tracers.items():
+    for policy, view in views.items():
         print(f"{policy} iteration {pick}:")
-        print(ascii_timeline(iteration_view(tracer, pick), width=64))
+        print(ascii_timeline(view, width=64))
         print()
 
-    for policy, tracer in tracers.items():
+    for policy, view in views.items():
         path = out_dir / f"trace_{policy}.json"
-        save_chrome_trace(iteration_view(tracer, pick), path)
+        save_chrome_trace(view, path)
         print(f"wrote {path} — open it at https://ui.perfetto.dev")
     return 0
 

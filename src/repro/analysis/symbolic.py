@@ -57,7 +57,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.footprint import Footprint, footprint_for, rect_cells
+from repro.analysis.footprint import Footprint, footprint_for
 from repro.analysis.halo import HaloVerdict, check_halo_depth
 from repro.analysis.races import CrossCheck, RaceReport, check_phases, cross_check, dynamic_check
 from repro.easypap.executor import TileTask

@@ -16,7 +16,7 @@ all-local; and mixed per-level placements beat both pure options.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.wrench.network import Link

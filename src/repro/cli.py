@@ -15,7 +15,7 @@ Four small CLIs, mirroring how a student would poke at each system:
   variant, and the halo depth/message-pattern analysis.  Exits non-zero
   on any unexpected verdict, so CI can gate on it;
 * ``repro-trace``    — off-line trace exploration: export a recorded trace
-  (an ``repro.obs`` session or an easypap task-record file) to Chrome
+  (a ``repro.obs`` session saved by ``Tracer.save_jsonl``) to Chrome
   trace-event JSON for https://ui.perfetto.dev, print an ASCII timeline or
   numeric summary, or diff two runs side by side;
 * ``repro-chaos``    — run a chaos campaign: fault scenarios × substrates
@@ -438,29 +438,6 @@ def check_main(argv: list[str] | None = None) -> int:
     return 1 if failed else 0
 
 
-def _load_any_trace(path: str):
-    """Load *path* as a Tracer, auto-detecting the file flavour.
-
-    ``repro.obs`` session files carry a ``type`` key on every row;
-    easypap task-record files (``Trace.save_jsonl``) do not and are
-    converted through the lossless adapter.
-    """
-    from repro.easypap.monitor import Trace
-    from repro.obs import Tracer
-    from repro.obs.adapters.easypap import trace_to_tracer
-
-    first = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                first = json.loads(line)
-                break
-    if first is not None and "type" in first:
-        return Tracer.load_jsonl(path)
-    return trace_to_tracer(Trace.load_jsonl(path))
-
-
 def trace_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro-trace`` (also ``python -m repro.cli trace``).
 
@@ -470,17 +447,17 @@ def trace_main(argv: list[str] | None = None) -> int:
       or an ASCII timeline (``--ascii``);
     * ``summary`` — makespan / busy%% / per-lane task counts, optionally
       for one easypap iteration (``--iteration``, agreeing with
-      ``Trace.summarize``);
+      ``summarize(iteration_view(tracer, N))``);
     * ``diff``    — two traces of the same workload side by side (the
       Fig. 3 comparison, generalised).
     """
-    from repro.obs import diff_summaries, summarize
+    from repro.obs import Tracer, diff_summaries, summarize
 
     p = argparse.ArgumentParser(prog="repro-trace", description="Off-line trace exploration")
     sub = p.add_subparsers(dest="command", required=True)
 
     p_export = sub.add_parser("export", help="convert a trace for Perfetto (or the terminal)")
-    p_export.add_argument("input", help="trace file (obs session or easypap task records)")
+    p_export.add_argument("input", help="trace file (a Tracer.save_jsonl session)")
     p_export.add_argument("--out", metavar="PATH", help="write Chrome trace JSON here")
     p_export.add_argument("--ascii", action="store_true", help="print an ASCII timeline")
     p_export.add_argument("--pid", help="restrict the ASCII view to one track group")
@@ -491,7 +468,7 @@ def trace_main(argv: list[str] | None = None) -> int:
     p_summary.add_argument("--pid", help="restrict to one track group")
     p_summary.add_argument(
         "--iteration", type=int, metavar="N",
-        help="easypap traces: summarise only iteration N (matches Trace.summarize)",
+        help="easypap traces: summarise only iteration N",
     )
 
     p_diff = sub.add_parser("diff", help="compare two traces of the same workload")
@@ -506,7 +483,7 @@ def trace_main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
 
     if args.command == "export":
-        tracer = _load_any_trace(args.input)
+        tracer = Tracer.load_jsonl(args.input)
         if args.ascii:
             from repro.obs import ascii_timeline
 
@@ -522,7 +499,7 @@ def trace_main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "summary":
-        tracer = _load_any_trace(args.input)
+        tracer = Tracer.load_jsonl(args.input)
         where = None
         title = args.input
         if args.iteration is not None:
@@ -538,8 +515,8 @@ def trace_main(argv: list[str] | None = None) -> int:
         where = lambda s: s.args.get("iteration") == args.iteration  # noqa: E731
         left_name = f"{args.left} iteration {args.iteration}"
         right_name = f"{args.right} iteration {args.iteration}"
-    left = summarize(_load_any_trace(args.left), pid=args.pid, where=where)
-    right = summarize(_load_any_trace(args.right), pid=args.pid, where=where)
+    left = summarize(Tracer.load_jsonl(args.left), pid=args.pid, where=where)
+    right = summarize(Tracer.load_jsonl(args.right), pid=args.pid, where=where)
     print(diff_summaries(left, right, left_name=left_name, right_name=right_name).render())
     return 0
 
@@ -664,7 +641,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         JobSpec,
         Rejected,
         ResultCache,
-        ServiceConfig,
         TenantPolicy,
         load_config,
         run_bench,

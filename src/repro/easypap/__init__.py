@@ -12,8 +12,8 @@ reproduces its moving parts:
   simulated in virtual time;
 * :mod:`~repro.easypap.executor` — sequential / simulated-parallel /
   real-thread backends;
-* :mod:`~repro.easypap.monitor` — execution traces (Fig. 3) and per-tile
-  owner maps (Fig. 4);
+* :mod:`~repro.easypap.monitor` — per-iteration views over the tile trace
+  (Fig. 3) and per-tile owner maps (Fig. 4);
 * :mod:`~repro.easypap.display` — RGB rendering of grids and owner maps.
 """
 
@@ -28,8 +28,7 @@ from repro.easypap.executor import (
 )
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import REGISTRY, KernelRegistry, VariantInfo, get_variant, register_variant
-from repro.easypap.monitor import IterationSummary, TaskRecord, Trace, TraceComparison, compare_traces
-from repro.easypap.perf import PerfCampaign, PerfPoint, speedup_series
+from repro.easypap.monitor import iteration_view, tile_owner_map
 from repro.easypap.schedule import POLICIES, ScheduleResult, TaskSpan, simulate_schedule
 from repro.easypap.tiling import Tile, TileGrid
 
@@ -54,12 +53,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "Trace",
-    "TaskRecord",
-    "IterationSummary",
-    "TraceComparison",
-    "compare_traces",
-    "PerfCampaign",
-    "PerfPoint",
-    "speedup_series",
+    "iteration_view",
+    "tile_owner_map",
 ]

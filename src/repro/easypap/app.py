@@ -6,7 +6,7 @@ module is the headless counterpart: :class:`EasyPapApp` resolves a
 variant from the registry, drives it to the fixpoint (or an iteration
 budget), and on the way collects everything the interactive tools would
 show — periodic RGB frames (writable as a PPM sequence), per-iteration
-timing, and the execution trace.
+timing, and (given a ``tracer``) one span per executed tile.
 
 >>> app = EasyPapApp("sandpile", "lazy", grid, tile_size=16)
 >>> result = app.run(max_iterations=500, frame_every=50)
@@ -26,7 +26,7 @@ from repro.common.colors import sandpile_to_rgb, write_ppm
 from repro.common.errors import ConfigurationError
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import get_variant
-from repro.easypap.monitor import Trace
+from repro.obs.tracer import Tracer
 
 __all__ = ["AppResult", "EasyPapApp"]
 
@@ -43,7 +43,7 @@ class AppResult:
     iteration_seconds: list[float] = field(default_factory=list)
     frames: list[np.ndarray] = field(default_factory=list)
     frame_iterations: list[int] = field(default_factory=list)
-    trace: Trace | None = None
+    tracer: Tracer | None = None
 
     @property
     def mean_iteration_seconds(self) -> float:
@@ -73,15 +73,15 @@ class EasyPapApp:
         variant: str,
         grid: Grid2D,
         *,
-        trace: bool = False,
+        tracer: Tracer | None = None,
         **options,
     ) -> None:
         self.kernel = kernel
         self.variant = variant
         self.grid = grid
-        self.trace = Trace() if trace else None
+        self.tracer = tracer
         info = get_variant(kernel, variant)
-        self._stepper = info.fn(grid, trace=self.trace, **options)
+        self._stepper = info.fn(grid, tracer=tracer, **options)
 
     def close(self) -> None:
         """Release stepper resources (process pools, shared memory); idempotent.
@@ -152,5 +152,5 @@ class EasyPapApp:
             iteration_seconds=iteration_seconds,
             frames=frames,
             frame_iterations=frame_iterations,
-            trace=self.trace,
+            tracer=self.tracer,
         )

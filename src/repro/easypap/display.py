@@ -46,7 +46,7 @@ def render_tile_owners(
     tile_pixels: int = 8,
     gpu_workers: frozenset[int] | set[int] = frozenset(),
 ) -> np.ndarray:
-    """Render a tile-owner map (from :meth:`Trace.tile_owner_map`) to RGB.
+    """Render a tile-owner map (:func:`~repro.easypap.monitor.tile_owner_map`) to RGB.
 
     ``owners[ty, tx] == -1`` means the tile was not computed (stable under
     lazy evaluation) and is drawn black, exactly as in Fig. 4.  Workers in

@@ -28,7 +28,8 @@ assignment's needs:
   a :class:`ThreadBackend`.
 
 All backends return the executed :class:`~repro.easypap.schedule.TaskSpan`
-list and optionally feed a :class:`~repro.easypap.monitor.Trace`.
+list and, given a ``tracer`` (:class:`repro.obs.tracer.Tracer`), record
+one span per tile in it (the shape :mod:`repro.easypap.monitor` reads).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, KernelError, SchedulingError
 from repro.common.resilience import Deadline, DegradationLog, FaultInjector, RetryPolicy
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import record_tile
 from repro.easypap.schedule import (
     POLICIES,
     ScheduleResult,
@@ -61,6 +62,7 @@ from repro.easypap.schedule import (
     simulate_schedule,
 )
 from repro.easypap.tiling import Tile, band_tiles
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "TaskBatch",
@@ -273,26 +275,15 @@ def _plan_for(batch: TaskBatch, nworkers: int, policy: str, chunk: int):
 def _record_spans(
     spans: Sequence[TaskSpan],
     batch: TaskBatch,
-    trace: Trace | None,
+    tracer: Tracer | None,
     iteration: int,
     kind: str,
 ) -> None:
-    if trace is None:
+    if not tracer:
         return
     for s in spans:
         ty, tx = batch.tile_coords(s.task)
-        trace.add(
-            TaskRecord(
-                iteration=iteration,
-                task=s.task,
-                worker=s.worker,
-                start=s.start,
-                end=s.end,
-                kind=kind,
-                tile_ty=ty,
-                tile_tx=tx,
-            )
-        )
+        record_tile(tracer, iteration, s.task, s.worker, s.start, s.end, kind, ty, tx)
 
 
 class SequentialBackend:
@@ -300,8 +291,8 @@ class SequentialBackend:
 
     nworkers = 1
 
-    def __init__(self, *, trace: Trace | None = None) -> None:
-        self.trace = trace
+    def __init__(self, *, tracer: Tracer | None = None) -> None:
+        self.tracer = tracer
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the resulting schedule placement."""
@@ -320,7 +311,7 @@ class SequentialBackend:
             spans.append(TaskSpan(i, 0, t, t + cost))
             t += cost
         result = ScheduleResult(policy="sequential", nworkers=1, chunk=1, spans=spans)
-        _record_spans(spans, batch, self.trace, iteration, kind)
+        _record_spans(spans, batch, self.tracer, iteration, kind)
         return result
 
 
@@ -341,7 +332,7 @@ class SimulatedBackend:
         policy: str = "dynamic",
         *,
         chunk: int = 1,
-        trace: Trace | None = None,
+        tracer: Tracer | None = None,
         measure: bool = False,
     ) -> None:
         if nworkers < 1:
@@ -349,7 +340,7 @@ class SimulatedBackend:
         self.nworkers = nworkers
         self.policy = policy
         self.chunk = chunk
-        self.trace = trace
+        self.tracer = tracer
         #: when True and the batch has no costs, wall-time is measured per task
         self.measure = measure
 
@@ -377,7 +368,7 @@ class SimulatedBackend:
                 for r in returned
             ]
         result = simulate_schedule(costs, self.nworkers, self.policy, chunk=self.chunk, plan=plan)
-        _record_spans(result.spans, batch, self.trace, iteration, kind)
+        _record_spans(result.spans, batch, self.tracer, iteration, kind)
         return result
 
 
@@ -389,11 +380,11 @@ class ThreadBackend:
     asynchronous variant).
     """
 
-    def __init__(self, nworkers: int, *, trace: Trace | None = None) -> None:
+    def __init__(self, nworkers: int, *, tracer: Tracer | None = None) -> None:
         if nworkers < 1:
             raise ConfigurationError("nworkers must be >= 1")
         self.nworkers = nworkers
-        self.trace = trace
+        self.tracer = tracer
 
     def run(self, batch: TaskBatch, *, iteration: int = 0, kind: str = "compute") -> ScheduleResult:
         """Execute the batch; returns the resulting schedule placement."""
@@ -428,7 +419,7 @@ class ThreadBackend:
                 f"tasks {unfinished[:20]}"
             )
         result = ScheduleResult(policy="threads", nworkers=self.nworkers, chunk=1, spans=done)
-        _record_spans(done, batch, self.trace, iteration, kind)
+        _record_spans(done, batch, self.tracer, iteration, kind)
         return result
 
 
@@ -646,7 +637,7 @@ class ProcessBackend:
         policy: str = "static",
         *,
         chunk: int = 1,
-        trace: Trace | None = None,
+        tracer: Tracer | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
         allow_fallback: bool = True,
@@ -665,7 +656,7 @@ class ProcessBackend:
         self.nworkers = nworkers
         self.policy = policy
         self.chunk = chunk
-        self.trace = trace
+        self.tracer = tracer
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
         self.allow_fallback = allow_fallback
@@ -920,7 +911,7 @@ class ProcessBackend:
                 reason = "batch carries no picklable TileTask spec"
             self._log_degradation("thread-execution", reason)
         if self._threads is None:
-            self._threads = ThreadBackend(self.nworkers, trace=self.trace)
+            self._threads = ThreadBackend(self.nworkers, tracer=self.tracer)
         return self._threads.run(batch, iteration=iteration, kind=kind)
 
     def _describe_missing(self, batch: TaskBatch, missing: set[int], chunks) -> str:
@@ -1210,7 +1201,7 @@ class ProcessBackend:
             spans=done,
             returns=returns,
         )
-        _record_spans(done, batch, self.trace, iteration, kind)
+        _record_spans(done, batch, self.tracer, iteration, kind)
         return result
 
 
@@ -1220,7 +1211,7 @@ def make_backend(
     *,
     policy: str = "dynamic",
     chunk: int = 1,
-    trace: Trace | None = None,
+    tracer: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -1237,17 +1228,17 @@ def make_backend(
     others.
     """
     if name == "sequential":
-        return SequentialBackend(trace=trace)
+        return SequentialBackend(tracer=tracer)
     if name == "simulated":
-        return SimulatedBackend(nworkers, policy, chunk=chunk, trace=trace)
+        return SimulatedBackend(nworkers, policy, chunk=chunk, tracer=tracer)
     if name == "threads":
-        return ThreadBackend(nworkers, trace=trace)
+        return ThreadBackend(nworkers, tracer=tracer)
     if name in ("process", "processes"):
         return ProcessBackend(
             nworkers,
             policy,
             chunk=chunk,
-            trace=trace,
+            tracer=tracer,
             retry=retry,
             task_timeout=task_timeout,
             allow_fallback=allow_fallback,

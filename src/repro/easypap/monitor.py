@@ -1,272 +1,76 @@
-"""Execution tracing and monitoring.
+"""Per-iteration views over the tile trace (Figs. 3 and 4).
 
 EASYPAP "features performance graph plot tools, real-time monitoring
 facilities, and off-line trace exploration utilities"; Fig. 3 of the paper
 shows two such traces (which tasks ran, on which core, during iteration
-500) and Fig. 4 a per-tile owner map of a hybrid CPU+GPU run.  This module
-is the Python counterpart: a :class:`Trace` accumulates
-:class:`TaskRecord` entries and can summarise an iteration, render an
-ASCII Gantt chart, and produce tile-owner maps for image rendering.
+500) and Fig. 4 a per-tile owner map of a hybrid CPU+GPU run.
+
+Every easypap backend records one span per executed tile into an
+:class:`~repro.obs.tracer.Tracer` through :func:`record_tile`:
+``pid="easypap"``, ``tid`` = worker, ``cat`` = task kind (``compute``,
+``gpu``...), and args ``iteration``, ``task``, ``tile_ty``, ``tile_tx``.
+The Fig. 3 operations are then the generic ones over
+:func:`iteration_view`: ``summarize(iteration_view(tracer, i))``,
+``ascii_timeline(iteration_view(tracer, i))`` and ``diff_summaries``.
+:func:`tile_owner_map` turns a view into the Fig. 4 data.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from collections import defaultdict
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["TaskRecord", "IterationSummary", "Trace", "TraceComparison", "compare_traces"]
+from repro.obs.tracer import Tracer
 
-#: version stamped on every saved row; bump when the row shape changes
-TRACE_SCHEMA_VERSION = 1
+__all__ = ["EASYPAP_PID", "record_tile", "iteration_view", "tile_owner_map"]
 
-#: TaskRecord field names, for schema-tolerant loading
-_RECORD_FIELDS = frozenset(
-    ("iteration", "task", "worker", "start", "end", "kind", "tile_ty", "tile_tx")
-)
+#: track group of every easypap tile span
+EASYPAP_PID = "easypap"
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """One executed task (usually: one tile of one iteration)."""
-
-    iteration: int
-    task: int
-    worker: int
-    start: float
-    end: float
-    kind: str = "compute"  # "compute", "comm", "gpu", ...
-    tile_ty: int = -1
-    tile_tx: int = -1
-
-    @property
-    def duration(self) -> float:
-        """Seconds from start to end."""
-        return self.end - self.start
-
-
-@dataclass
-class IterationSummary:
-    """Aggregate statistics for one iteration of a traced run."""
-
-    iteration: int
-    task_count: int
-    makespan: float
-    total_work: float
-    worker_busy: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def nworkers(self) -> int:
-        """Number of workers active in this iteration."""
-        return len(self.worker_busy)
-
-    @property
-    def imbalance(self) -> float:
-        """``max(busy)/mean(busy) - 1`` over workers active this iteration."""
-        if not self.worker_busy:
-            return 0.0
-        busy = list(self.worker_busy.values())
-        mean = sum(busy) / len(busy)
-        return max(busy) / mean - 1.0 if mean > 0 else 0.0
-
-
-class Trace:
-    """Append-only store of :class:`TaskRecord` with analysis helpers."""
-
-    def __init__(self) -> None:
-        self._records: list[TaskRecord] = []
-        self._by_iteration: dict[int, list[TaskRecord]] = defaultdict(list)
-
-    # -- recording -------------------------------------------------------------
-
-    def add(self, record: TaskRecord) -> None:
-        """Append one record."""
-        self._records.append(record)
-        self._by_iteration[record.iteration].append(record)
-
-    def extend(self, records) -> None:
-        """Append many records."""
-        for r in records:
-            self.add(r)
-
-    # -- access ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> list[TaskRecord]:
-        """All records, in insertion order (a copy)."""
-        return list(self._records)
-
-    def iterations(self) -> list[int]:
-        """Sorted iteration numbers present in the trace."""
-        return sorted(self._by_iteration)
-
-    def iteration_records(self, iteration: int) -> list[TaskRecord]:
-        """Records of one iteration, sorted by start time."""
-        return sorted(self._by_iteration.get(iteration, []), key=lambda r: (r.start, r.task))
-
-    # -- analysis ------------------------------------------------------------------
-
-    def summarize(self, iteration: int) -> IterationSummary:
-        """Aggregate one iteration into an IterationSummary."""
-        recs = self._by_iteration.get(iteration, [])
-        busy: dict[int, float] = defaultdict(float)
-        t0 = min((r.start for r in recs), default=0.0)
-        t1 = max((r.end for r in recs), default=0.0)
-        for r in recs:
-            busy[r.worker] += r.duration
-        return IterationSummary(
-            iteration=iteration,
-            task_count=len(recs),
-            makespan=t1 - t0,
-            total_work=sum(r.duration for r in recs),
-            worker_busy=dict(busy),
-        )
-
-    def tile_owner_map(self, tiles_y: int, tiles_x: int, iteration: int) -> np.ndarray:
-        """Per-tile worker index for one iteration (-1 = tile not computed).
-
-        This is exactly the data behind Fig. 4: tiles that were skipped
-        (stable, under lazy evaluation) stay at -1 and render black; others
-        are coloured by the worker that computed them.
-        """
-        owners = np.full((tiles_y, tiles_x), -1, dtype=np.int32)
-        for r in self._by_iteration.get(iteration, []):
-            if 0 <= r.tile_ty < tiles_y and 0 <= r.tile_tx < tiles_x:
-                owners[r.tile_ty, r.tile_tx] = r.worker
-        return owners
-
-    def gantt_ascii(self, iteration: int, *, width: int = 72) -> str:
-        """Render one iteration as an ASCII Gantt chart, one line per worker.
-
-        Characters mark busy slots; ``.`` marks idle virtual time.  This is
-        the terminal stand-in for EASYPAP's trace-explorer window.
-        """
-        recs = self._by_iteration.get(iteration, [])
-        if not recs:
-            return f"iteration {iteration}: <no tasks>"
-        t0 = min(r.start for r in recs)
-        t1 = max(r.end for r in recs)
-        span = max(t1 - t0, 1e-12)
-        workers = sorted({r.worker for r in recs})
-        kinds = sorted({r.kind for r in recs})
-
-        def mark_for(kind: str) -> str:
-            return "G" if kind == "gpu" else ("c" if kind == "comm" else "#")
-
-        legend = "legend: " + "  ".join(f"{mark_for(k)}={k}" for k in kinds) + "  .=idle"
-        lines = [
-            f"iteration {iteration}: {len(recs)} tasks, makespan {span:.4g}",
-            legend,
-        ]
-        for w in workers:
-            row = ["."] * width
-            busy = 0.0
-            for r in recs:
-                if r.worker != w:
-                    continue
-                a = int((r.start - t0) / span * (width - 1))
-                b = int((r.end - t0) / span * (width - 1))
-                mark = mark_for(r.kind)
-                for i in range(a, max(b, a) + 1):
-                    row[i] = mark
-                busy += r.duration
-            lines.append(f"w{w:<3d} |{''.join(row)}| {100 * busy / span:5.1f}% busy")
-        return "\n".join(lines)
-
-    def to_rows(self) -> list[dict]:
-        """Dump all records as plain dicts (JSON-lines friendly)."""
-        return [
-            {
-                "iteration": r.iteration,
-                "task": r.task,
-                "worker": r.worker,
-                "start": r.start,
-                "end": r.end,
-                "kind": r.kind,
-                "tile_ty": r.tile_ty,
-                "tile_tx": r.tile_tx,
-            }
-            for r in self._records
-        ]
-
-    # -- persistence (EASYPAP's "off-line trace exploration") -------------------
-
-    def save_jsonl(self, path: str | os.PathLike) -> None:
-        """Write the trace as JSON lines for off-line exploration.
-
-        Each row carries a ``schema`` version so future readers can adapt;
-        :meth:`load_jsonl` ignores keys it does not know, so traces written
-        by newer code (or annotated by other tools) stay loadable.
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.to_rows():
-                row["schema"] = TRACE_SCHEMA_VERSION
-                fh.write(json.dumps(row) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path: str | os.PathLike) -> "Trace":
-        """Load a trace previously written by :meth:`save_jsonl`.
-
-        Unknown keys (the ``schema`` stamp, annotations from other tools,
-        fields from future versions) are ignored rather than crashing the
-        load, so old and new trace files both work.
-        """
-        trace = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                trace.add(TaskRecord(**{k: v for k, v in row.items() if k in _RECORD_FIELDS}))
-        return trace
-
-
-@dataclass(frozen=True)
-class TraceComparison:
-    """Side-by-side comparison of one iteration across two traces (Fig. 3)."""
-
-    iteration: int
-    left: IterationSummary
-    right: IterationSummary
-
-    @property
-    def task_ratio(self) -> float:
-        """left tasks / right tasks (inf when the right side is empty)."""
-        if self.right.task_count == 0:
-            return float("inf") if self.left.task_count else 1.0
-        return self.left.task_count / self.right.task_count
-
-    @property
-    def makespan_ratio(self) -> float:
-        """Left makespan over right makespan."""
-        if self.right.makespan == 0:
-            return float("inf") if self.left.makespan else 1.0
-        return self.left.makespan / self.right.makespan
-
-    def render(self, left_name: str = "left", right_name: str = "right") -> str:
-        """Render as human-readable text."""
-        lines = [
-            f"iteration {self.iteration}: {left_name} vs {right_name}",
-            f"  tasks     : {self.left.task_count} vs {self.right.task_count} "
-            f"(ratio {self.task_ratio:.2f})",
-            f"  makespan  : {self.left.makespan:.4g} vs {self.right.makespan:.4g} "
-            f"(ratio {self.makespan_ratio:.2f})",
-            f"  imbalance : {self.left.imbalance:.3f} vs {self.right.imbalance:.3f}",
-        ]
-        return "\n".join(lines)
-
-
-def compare_traces(left: Trace, right: Trace, iteration: int) -> TraceComparison:
-    """Compare the same iteration of two traces — the Fig. 3 operation."""
-    return TraceComparison(
-        iteration=iteration,
-        left=left.summarize(iteration),
-        right=right.summarize(iteration),
+def record_tile(
+    tracer,
+    iteration: int,
+    task: int,
+    worker: int,
+    start: float,
+    end: float,
+    kind: str,
+    tile_ty: int,
+    tile_tx: int,
+) -> None:
+    """Append one executed tile to *tracer* as an ``easypap`` span."""
+    tracer.add_span(
+        f"i{iteration}:t{task}",
+        start=start,
+        end=end,
+        cat=kind,
+        pid=EASYPAP_PID,
+        tid=worker,
+        args={"iteration": iteration, "task": task, "tile_ty": tile_ty, "tile_tx": tile_tx},
     )
+
+
+def iteration_view(tracer, iteration: int) -> Tracer:
+    """The tile spans of one iteration, as a tracer of their own."""
+    view = Tracer(process=EASYPAP_PID)
+    view.absorb(
+        s
+        for s in tracer.spans()
+        if s.pid == EASYPAP_PID and s.args.get("iteration") == iteration
+    )
+    return view
+
+
+def tile_owner_map(view, tiles_y: int, tiles_x: int) -> np.ndarray:
+    """Per-tile worker index of a view (-1 = tile not computed).
+
+    This is exactly the data behind Fig. 4: tiles that were skipped
+    (stable, under lazy evaluation) stay at -1 and render black; others
+    are coloured by the worker that computed them.
+    """
+    owners = np.full((tiles_y, tiles_x), -1, dtype=np.int32)
+    for s in view.spans():
+        ty, tx = s.args.get("tile_ty", -1), s.args.get("tile_tx", -1)
+        if 0 <= ty < tiles_y and 0 <= tx < tiles_x:
+            owners[ty, tx] = s.tid
+    return owners

@@ -16,7 +16,7 @@ simulation:
   (``max(remaining/nworkers, chunk)``).
 
 The output (:class:`ScheduleResult`) carries per-task spans, from which the
-monitor builds the execution traces of Fig. 3 and benchmarks compute
+backends record the tile traces of Fig. 3 and benchmarks compute
 speedup, efficiency, and imbalance.
 """
 

@@ -1,95 +1,31 @@
-"""easypap adapter: per-tile spans from TaskRecord, losslessly both ways.
+"""easypap adapter: recovery events and dispatch counters next to tile spans.
 
-Every easypap backend already feeds a :class:`~repro.easypap.monitor.Trace`
-of :class:`~repro.easypap.monitor.TaskRecord` rows (iteration, task,
-worker, start, end, kind, tile coordinates).  :func:`trace_to_tracer`
-maps each row onto a span — worker index becomes the lane, ``kind``
-becomes the category, and iteration/task/tile coordinates ride in the
-span args — and :func:`tracer_to_trace` inverts the mapping exactly, so
-nothing EASYPAP's trace explorer shows is lost in the unified view.
+The easypap backends write their per-tile spans straight into a tracer
+(see :mod:`repro.easypap.monitor`); the projections here put the rest of
+a run on the same timeline.
 
 :func:`degradation_to_instants` projects a
 :class:`~repro.common.resilience.DegradationLog` (pool rebuilds, thread
 fallbacks, retries) onto instant events, so recovery actions appear on
 the same timeline as the tile spans they interrupted.
+:func:`frontier_to_counters` and :func:`dispatch_to_counters` turn a
+frontier stepper's window log and the process backend's dispatch metrics
+into counter tracks.
 """
 
 from __future__ import annotations
 
 from repro.common.resilience import DegradationLog
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import EASYPAP_PID
 from repro.obs.clock import WallClock
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "EASYPAP_PID",
-    "record_to_span",
-    "trace_to_tracer",
-    "tracer_to_trace",
     "degradation_to_instants",
     "frontier_to_counters",
     "dispatch_to_counters",
 ]
-
-EASYPAP_PID = "easypap"
-
-
-def record_to_span(tracer: Tracer, rec: TaskRecord, *, pid: str = EASYPAP_PID):
-    """Append one TaskRecord as a span; returns the SpanRecord."""
-    return tracer.add_span(
-        f"i{rec.iteration}:t{rec.task}",
-        start=rec.start,
-        end=rec.end,
-        cat=rec.kind,
-        pid=pid,
-        tid=rec.worker,
-        args={
-            "iteration": rec.iteration,
-            "task": rec.task,
-            "tile_ty": rec.tile_ty,
-            "tile_tx": rec.tile_tx,
-        },
-    )
-
-
-def trace_to_tracer(
-    trace: Trace,
-    tracer: Tracer | None = None,
-    *,
-    pid: str = EASYPAP_PID,
-) -> Tracer:
-    """Convert a whole easypap Trace into (or onto) a tracer."""
-    if tracer is None:
-        tracer = Tracer(process=pid)
-    for rec in trace.records:
-        record_to_span(tracer, rec, pid=pid)
-    return tracer
-
-
-def tracer_to_trace(tracer: Tracer, *, pid: str = EASYPAP_PID) -> Trace:
-    """Rebuild the easypap Trace from spans produced by this adapter.
-
-    The inverse of :func:`trace_to_tracer` — the tests assert the
-    round-trip reproduces every TaskRecord field bit-for-bit.
-    """
-    trace = Trace()
-    for s in tracer.spans():
-        if s.pid != pid:
-            continue
-        a = s.args
-        trace.add(
-            TaskRecord(
-                iteration=int(a.get("iteration", 0)),
-                task=int(a.get("task", 0)),
-                worker=int(s.tid),
-                start=s.start,
-                end=s.end,
-                kind=s.cat,
-                tile_ty=int(a.get("tile_ty", -1)),
-                tile_tx=int(a.get("tile_tx", -1)),
-            )
-        )
-    return trace
 
 
 def frontier_to_counters(

@@ -12,9 +12,9 @@ Timestamps are converted from seconds to integer-friendly microseconds.
 Virtual clocks export unchanged — Perfetto does not care whether a
 microsecond was real.
 
-:func:`ascii_timeline` is the terminal fallback, generalising
-:meth:`repro.easypap.monitor.Trace.gantt_ascii` to any number of track
-groups, with a legend and a per-lane busy%% column.
+:func:`ascii_timeline` is the terminal fallback and EASYPAP's Gantt view
+(one iteration of tile spans via :func:`repro.easypap.monitor.iteration_view`):
+one lane per track, a legend, and a per-lane busy%% column.
 """
 
 from __future__ import annotations

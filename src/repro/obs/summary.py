@@ -1,11 +1,10 @@
 """Trace summaries and side-by-side diffs.
 
 The numeric counterpart of the timeline views: makespan, per-lane busy
-time and busy fraction, span counts per lane and per category.  The
-fields deliberately mirror :class:`repro.easypap.monitor.IterationSummary`
-(makespan, ``worker_busy``, task counts) so the CLI's ``trace summary``
-agrees with the substrate-local summariser on the same run — the tests
-assert it.
+time and busy fraction, span counts per lane and per category.
+``summarize(iteration_view(tracer, i))`` (see
+:mod:`repro.easypap.monitor`) is the per-iteration summary of a tiled
+run: tasks, makespan, ``worker_busy`` and imbalance.
 
 :func:`diff_summaries` is the paper's Fig. 3 operation generalised: the
 same workload traced under two configurations (two scheduling policies,
@@ -64,7 +63,7 @@ class TraceSummary:
 
     @property
     def worker_busy(self) -> dict:
-        """Busy seconds keyed by ``tid`` — IterationSummary's shape.
+        """Busy seconds keyed by ``tid`` (for easypap tiles: by worker).
 
         Only meaningful when tids are unique across pids (single-substrate
         traces); colliding tids sum.

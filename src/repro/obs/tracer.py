@@ -18,7 +18,7 @@ so hot paths guard with a single truthiness check::
         stepper()
 
 and pay essentially nothing when tracing is off (``bench_hotpath.py
---check`` enforces <= 5% overhead on the frontier hot path).  Every
+--check`` enforces <= 5% overhead on the lazy tiled hot path).  Every
 recording method is also a no-op, so code that received a NullTracer and
 calls it unconditionally still works.
 

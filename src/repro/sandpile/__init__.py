@@ -19,7 +19,7 @@ oracle for every variant.  Importing this package registers all kernel
 variants with :data:`repro.easypap.REGISTRY`.
 """
 
-from repro.sandpile import simulate as _simulate  # registers variants
+from repro.sandpile.simulate import RunResult, make_stepper, run_to_fixpoint  # registers variants
 from repro.sandpile.analysis import (
     Avalanche,
     AvalancheStatistics,
@@ -50,7 +50,6 @@ from repro.sandpile.reference import (
     sync_compute_new_state,
     sync_step_reference,
 )
-from repro.sandpile.simulate import RunResult, make_stepper, run_to_fixpoint
 from repro.sandpile.theory import (
     add,
     burning_test,

@@ -22,9 +22,10 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import record_tile
 from repro.easypap.schedule import simulate_schedule
 from repro.easypap.tiling import Tile, TileGrid
+from repro.obs.tracer import Tracer
 from repro.sandpile.gpu import DeviceModel
 from repro.sandpile.kernels import sync_tile
 from repro.sandpile.lazy import LazyFlags
@@ -59,7 +60,7 @@ class HybridStepper:
         cpu: CpuModel | None = None,
         device: DeviceModel | None = None,
         lazy: bool = False,
-        trace: Trace | None = None,
+        tracer: Tracer | None = None,
         rebalance: bool = True,
     ) -> None:
         if nworkers < 1:
@@ -72,7 +73,7 @@ class HybridStepper:
         self.cpu = cpu or CpuModel()
         self.device = device or DeviceModel()
         self.lazy_flags = LazyFlags(self.tiles) if lazy else None
-        self.trace = trace
+        self.tracer = tracer
         self.rebalance = rebalance
         self._scratch = grid.data.copy()
         #: tile-row index of the CPU/GPU frontier: tile rows < split on CPU
@@ -115,18 +116,10 @@ class HybridStepper:
             for span in sched.spans:
                 t = cpu_tiles[span.task]
                 owners[t.ty, t.tx] = span.worker
-                if self.trace is not None:
-                    self.trace.add(
-                        TaskRecord(
-                            iteration=self.iterations,
-                            task=t.index,
-                            worker=span.worker,
-                            start=span.start,
-                            end=span.end,
-                            kind="compute",
-                            tile_ty=t.ty,
-                            tile_tx=t.tx,
-                        )
+                if self.tracer:
+                    record_tile(
+                        self.tracer, self.iterations, t.index, span.worker,
+                        span.start, span.end, "compute", t.ty, t.tx,
                     )
 
         # GPU side: one batched launch over all device tiles.
@@ -139,19 +132,11 @@ class HybridStepper:
                 owners[t.ty, t.tx] = self.gpu_worker_id
                 gpu_cells += t.area
             gpu_time = self.device.launch_cost(gpu_cells)
-            if self.trace is not None:
+            if self.tracer:
                 for t in gpu_tiles:
-                    self.trace.add(
-                        TaskRecord(
-                            iteration=self.iterations,
-                            task=t.index,
-                            worker=self.gpu_worker_id,
-                            start=0.0,
-                            end=gpu_time,
-                            kind="gpu",
-                            tile_ty=t.ty,
-                            tile_tx=t.tx,
-                        )
+                    record_tile(
+                        self.tracer, self.iterations, t.index, self.gpu_worker_id,
+                        0.0, gpu_time, "gpu", t.ty, t.tx,
                     )
 
         changed = changed or any(cpu_changed.values())

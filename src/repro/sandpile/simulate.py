@@ -28,7 +28,7 @@ from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
 from repro.easypap.executor import SequentialBackend, make_backend
 from repro.easypap.grid import Grid2D
 from repro.easypap.kernel import get_variant, register_variant
-from repro.easypap.monitor import Trace
+from repro.obs.tracer import Tracer
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper
 from repro.sandpile.pfrontier import ParallelFrontierStepper
 from repro.sandpile.reference import async_step_reference, sync_step_reference
@@ -53,7 +53,7 @@ class RunResult:
     final_grid: Grid2D
     tiles_computed: int = 0
     tiles_skipped: int = 0
-    trace: Trace | None = None
+    tracer: Tracer | None = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -68,7 +68,7 @@ def _make_backend(
     nworkers: int,
     policy: str,
     chunk: int,
-    trace: Trace | None,
+    tracer: Tracer | None,
     *,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
@@ -85,7 +85,7 @@ def _make_backend(
         nworkers,
         policy=policy,
         chunk=chunk,
-        trace=trace,
+        tracer=tracer,
         retry=retry,
         task_timeout=task_timeout,
         allow_fallback=allow_fallback,
@@ -124,13 +124,13 @@ def _sandpile_split(grid: Grid2D, *, tile_size: int = 32, **_opts):
 
 
 @register_variant("sandpile", "tiled", description="tiled synchronous, sequential tiles")
-def _sandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace))
+def _sandpile_tiled(grid: Grid2D, *, tile_size: int = 32, tracer: Tracer | None = None, **_opts):
+    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(tracer=tracer))
 
 
 @register_variant("sandpile", "lazy", description="tiled synchronous + lazy tile skipping")
-def _sandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace), lazy=True)
+def _sandpile_lazy(grid: Grid2D, *, tile_size: int = 32, tracer: Tracer | None = None, **_opts):
+    return TiledSyncStepper(grid, tile_size, backend=SequentialBackend(tracer=tracer), lazy=True)
 
 
 @register_variant("sandpile", "omp", description="tiled synchronous on virtual workers")
@@ -143,7 +143,7 @@ def _sandpile_omp(
     chunk: int = 1,
     backend: str = "simulated",
     lazy: bool = False,
-    trace: Trace | None = None,
+    tracer: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -152,7 +152,7 @@ def _sandpile_omp(
     **_opts,
 ):
     be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+        backend, nworkers, policy, chunk, tracer,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector,
@@ -175,7 +175,7 @@ def _sandpile_pfrontier(
     use_compiled: bool = False,
     k: int = 1,
     nbands: int | None = None,
-    trace: Trace | None = None,
+    tracer: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -185,7 +185,7 @@ def _sandpile_pfrontier(
     **_opts,
 ):
     be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+        backend, nworkers, policy, chunk, tracer,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector, metrics=metrics,
@@ -233,13 +233,13 @@ def _asandpile_frontier(grid: Grid2D, **_opts):
 
 
 @register_variant("asandpile", "tiled", description="tile-local relaxation, sequential tiles")
-def _asandpile_tiled(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace))
+def _asandpile_tiled(grid: Grid2D, *, tile_size: int = 32, tracer: Tracer | None = None, **_opts):
+    return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(tracer=tracer))
 
 
 @register_variant("asandpile", "lazy", description="tile-local relaxation + lazy skipping")
-def _asandpile_lazy(grid: Grid2D, *, tile_size: int = 32, trace: Trace | None = None, **_opts):
-    return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(trace=trace), lazy=True)
+def _asandpile_lazy(grid: Grid2D, *, tile_size: int = 32, tracer: Tracer | None = None, **_opts):
+    return TiledAsyncStepper(grid, tile_size, backend=SequentialBackend(tracer=tracer), lazy=True)
 
 
 @register_variant("asandpile", "omp", description="multi-wave tiles on virtual workers")
@@ -252,7 +252,7 @@ def _asandpile_omp(
     chunk: int = 1,
     backend: str = "simulated",
     lazy: bool = True,
-    trace: Trace | None = None,
+    tracer: Tracer | None = None,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
     allow_fallback: bool = True,
@@ -261,7 +261,7 @@ def _asandpile_omp(
     **_opts,
 ):
     be = _make_backend(
-        backend, nworkers, policy, chunk, trace,
+        backend, nworkers, policy, chunk, tracer,
         retry=retry, task_timeout=task_timeout,
         allow_fallback=allow_fallback, degradation=degradation,
         fault_injector=fault_injector,
@@ -284,8 +284,7 @@ def run_to_fixpoint(
     variant: str = "vec",
     *,
     max_iterations: int = 10**7,
-    trace: Trace | None = None,
-    obs=None,
+    tracer: Tracer | None = None,
     **options,
 ) -> RunResult:
     """Drive ``kernel/variant`` on *grid* until stable; return statistics.
@@ -295,42 +294,21 @@ def run_to_fixpoint(
     variant factory (``tile_size``, ``nworkers``, ``policy``, ``chunk``,
     ``backend``, ``lazy``...).
 
-    *obs* (a :class:`repro.obs.Tracer`) records one wall-clock span per
-    iteration under the ``easypap`` track group.  A falsy tracer (None or
-    :class:`repro.obs.NullTracer`) keeps the untraced fast loop — the
-    hot-path guard the overhead benchmark holds to <=5%.
+    *tracer* (a :class:`repro.obs.Tracer`) reaches the variant's backend,
+    which records one span per executed tile (see
+    :mod:`repro.easypap.monitor`); variants without tiles ignore it.
     """
-    stepper = make_stepper(grid, kernel, variant, trace=trace, **options)
+    stepper = make_stepper(grid, kernel, variant, tracer=tracer, **options)
     iterations = 0
     try:
-        if obs:
-            for _ in range(max_iterations):
-                with obs.span(
-                    f"iteration {iterations}",
-                    cat="iteration",
-                    pid="easypap",
-                    tid="driver",
-                ) as span_args:
-                    span_args["iteration"] = iterations
-                    span_args["kernel"] = kernel
-                    span_args["variant"] = variant
-                    changed = stepper()
-                if not changed:
-                    break
-                iterations += 1
-            else:
-                raise RuntimeError(
-                    f"{kernel}/{variant}: no fixpoint within {max_iterations} iterations"
-                )
+        for _ in range(max_iterations):
+            if not stepper():
+                break
+            iterations += 1
         else:
-            for _ in range(max_iterations):
-                if not stepper():
-                    break
-                iterations += 1
-            else:
-                raise RuntimeError(
-                    f"{kernel}/{variant}: no fixpoint within {max_iterations} iterations"
-                )
+            raise RuntimeError(
+                f"{kernel}/{variant}: no fixpoint within {max_iterations} iterations"
+            )
     finally:
         # steppers on a process backend own OS resources (pool + shm)
         close = getattr(stepper, "close", None)
@@ -345,7 +323,7 @@ def run_to_fixpoint(
         final_grid=grid,
         tiles_computed=getattr(stepper, "tiles_computed", 0),
         tiles_skipped=getattr(stepper, "tiles_skipped", 0),
-        trace=trace,
+        tracer=tracer,
         extras={
             "inner_tile_updates": getattr(stepper, "inner_tile_updates", None),
             "outer_tile_updates": getattr(stepper, "outer_tile_updates", None),

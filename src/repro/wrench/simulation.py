@@ -22,7 +22,7 @@ Execution model (deliberately WRENCH-like but minimal):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import grams_co2e

@@ -12,7 +12,7 @@ tasks and ~7.5 GB of files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 

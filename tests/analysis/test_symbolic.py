@@ -16,7 +16,6 @@ Covers the three wirings of :mod:`repro.analysis.symbolic`:
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,14 +39,13 @@ from repro.analysis.symbolic import (
     infer_footprint,
     inference_refusal,
     kernel_verdict_table,
-    probe_tasks,
     verdicts_to_json,
     verify_declaration,
     verify_declarations,
 )
 from repro.common.errors import KernelError
 from repro.easypap import executor
-from repro.easypap.executor import TileTask, register_tile_kernel, registered_tile_kernels
+from repro.easypap.executor import TileTask, register_tile_kernel
 from repro.easypap.tiling import Tile, TileGrid
 
 #: every kernel the stock registry holds after the imports above

@@ -6,6 +6,7 @@ import pytest
 import repro.sandpile  # noqa: F401 - registers the variants
 from repro.common.errors import ConfigurationError, KernelError
 from repro.easypap.app import EasyPapApp
+from repro.obs import Tracer
 from repro.sandpile.model import center_pile, random_uniform
 from repro.sandpile.theory import stabilize
 
@@ -66,10 +67,11 @@ class TestRun:
 
     def test_trace_collected_when_requested(self):
         grid = center_pile(16, 16, 100)
-        app = EasyPapApp("sandpile", "omp", grid, trace=True, tile_size=8, nworkers=2)
+        tracer = Tracer()
+        app = EasyPapApp("sandpile", "omp", grid, tracer=tracer, tile_size=8, nworkers=2)
         result = app.run()
-        assert result.trace is not None
-        assert len(result.trace) > 0
+        assert result.tracer is tracer
+        assert len(tracer) > 0
 
     def test_mean_iteration_seconds(self):
         grid = center_pile(8, 8, 20)

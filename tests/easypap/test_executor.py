@@ -19,7 +19,8 @@ from repro.easypap.executor import (
     make_backend,
     register_tile_kernel,
 )
-from repro.easypap.monitor import Trace
+from repro.easypap.monitor import iteration_view
+from repro.obs import Tracer, summarize
 from repro.easypap.schedule import chunk_plan
 from repro.easypap.tiling import TileGrid
 
@@ -138,13 +139,13 @@ class TestSequentialBackend:
         assert r.makespan == pytest.approx(30.0)
 
     def test_trace_recorded(self):
-        trace = Trace()
+        tracer = Tracer()
         tg = TileGrid(8, 8, 4)
         b, _ = make_counter_batch(4, tiles=list(tg))
-        SequentialBackend(trace=trace).run(b, iteration=7)
-        assert len(trace) == 4
-        assert trace.iterations() == [7]
-        assert trace.records[0].tile_ty == 0
+        SequentialBackend(tracer=tracer).run(b, iteration=7)
+        assert len(tracer) == 4
+        assert {s.args["iteration"] for s in tracer.spans()} == {7}
+        assert tracer.spans()[0].args["tile_ty"] == 0
 
 
 class TestSimulatedBackend:
@@ -170,12 +171,12 @@ class TestSimulatedBackend:
             SimulatedBackend(0)
 
     def test_trace_has_virtual_spans(self):
-        trace = Trace()
+        tracer = Tracer()
         b, _ = make_counter_batch(4)
-        SimulatedBackend(2, "dynamic", trace=trace).run(b, iteration=3)
-        summary = trace.summarize(3)
-        assert summary.task_count == 4
-        assert summary.nworkers <= 2
+        SimulatedBackend(2, "dynamic", tracer=tracer).run(b, iteration=3)
+        summary = summarize(iteration_view(tracer, 3))
+        assert summary.span_count == 4
+        assert len(summary.lanes) <= 2
 
 
 class TestThreadBackend:
@@ -278,14 +279,14 @@ class TestProcessBackend:
 
     @needs_processes
     def test_trace_records_wall_clock_lanes(self):
-        trace = Trace()
+        tracer = Tracer()
         g, scratch, tiles, spec = make_plane_batch()
-        with ProcessBackend(2, "dynamic", trace=trace) as be:
+        with ProcessBackend(2, "dynamic", tracer=tracer) as be:
             be.bind_planes(g.data, scratch)
             be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec), iteration=5)
-        assert trace.iterations() == [5]
-        assert {r.worker for r in trace.records} <= {0, 1}
-        assert trace.records[0].tile_ty >= 0
+        assert {s.args["iteration"] for s in tracer.spans()} == {5}
+        assert {s.tid for s in tracer.spans()} <= {0, 1}
+        assert tracer.spans()[0].args["tile_ty"] >= 0
 
     @needs_processes
     def test_empty_batch(self):

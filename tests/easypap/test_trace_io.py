@@ -1,73 +1,89 @@
-"""Tests for trace persistence and comparison (the Fig. 3 tooling)."""
+"""Tests for tile-trace persistence and comparison (the Fig. 3 tooling)."""
 
-from repro.easypap.monitor import TaskRecord, Trace, compare_traces
+import pytest
+
+from repro.easypap.executor import SimulatedBackend, TaskBatch
+from repro.easypap.monitor import iteration_view, record_tile
+from repro.easypap.tiling import TileGrid
+from repro.obs import Tracer, diff_summaries, summarize
 
 
-def make_trace(task_count, duration, iteration=5):
-    t = Trace()
+def make_tracer(task_count, duration, iteration=5):
+    t = Tracer()
     for i in range(task_count):
-        t.add(TaskRecord(iteration, i, i % 2, i * duration, (i + 1) * duration, "compute", 0, i))
+        record_tile(t, iteration, i, i % 2, i * duration, (i + 1) * duration, "compute", 0, i)
     return t
+
+
+def iteration_summary(tracer, iteration=5):
+    return summarize(iteration_view(tracer, iteration))
 
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
-        t = make_trace(4, 1.5)
+        """Spans a backend records survive ``save_jsonl``/``load_jsonl`` intact."""
+        tiles = list(TileGrid(8, 8, 4))
+        t = Tracer()
+        SimulatedBackend(2, "dynamic", tracer=t).run(
+            TaskBatch([lambda: 1.0] * len(tiles), tiles=tiles), iteration=3
+        )
         path = tmp_path / "trace.jsonl"
         t.save_jsonl(path)
-        loaded = Trace.load_jsonl(path)
-        assert loaded.to_rows() == t.to_rows()
+        loaded = Tracer.load_jsonl(path)
+        assert loaded.spans() == t.spans()
+        assert iteration_view(loaded, 3).spans() == iteration_view(t, 3).spans()
 
     def test_empty_trace_roundtrip(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        Trace().save_jsonl(path)
-        assert len(Trace.load_jsonl(path)) == 0
+        Tracer().save_jsonl(path)
+        assert len(Tracer.load_jsonl(path)) == 0
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        make_trace(2, 1.0).save_jsonl(path)
+        make_tracer(2, 1.0).save_jsonl(path)
         path.write_text(path.read_text() + "\n\n")
-        assert len(Trace.load_jsonl(path)) == 2
+        assert len(Tracer.load_jsonl(path)) == 2
 
 
 class TestComparison:
     def test_ratios(self):
-        fine = make_trace(8, 1.0)     # 8 tasks, makespan 8
-        coarse = make_trace(4, 2.0)   # 4 tasks, makespan 8
-        cmp = compare_traces(fine, coarse, 5)
-        assert cmp.task_ratio == 2.0
+        fine = iteration_summary(make_tracer(8, 1.0))     # 8 tasks, makespan 8
+        coarse = iteration_summary(make_tracer(4, 2.0))   # 4 tasks, makespan 8
+        cmp = diff_summaries(fine, coarse)
+        assert cmp.span_ratio == 2.0
         assert cmp.makespan_ratio == 1.0
 
     def test_render_mentions_names(self):
-        cmp = compare_traces(make_trace(2, 1.0), make_trace(2, 1.0), 5)
-        out = cmp.render("32x32", "64x64")
+        one = iteration_summary(make_tracer(2, 1.0))
+        out = diff_summaries(one, one, left_name="32x32", right_name="64x64").render()
         assert "32x32" in out and "64x64" in out
-        assert "tasks" in out and "imbalance" in out
+        assert "spans" in out and "imbalance" in out
 
     def test_empty_side(self):
-        cmp = compare_traces(make_trace(3, 1.0), Trace(), 5)
-        assert cmp.task_ratio == float("inf")
-        assert cmp.right.task_count == 0
+        cmp = diff_summaries(iteration_summary(make_tracer(3, 1.0)), iteration_summary(Tracer()))
+        assert cmp.span_ratio == float("inf")
+        assert cmp.right.span_count == 0
 
     def test_both_empty(self):
-        cmp = compare_traces(Trace(), Trace(), 0)
-        assert cmp.task_ratio == 1.0
+        cmp = diff_summaries(iteration_summary(Tracer(), 0), iteration_summary(Tracer(), 0))
+        assert cmp.span_ratio == 1.0
         assert cmp.makespan_ratio == 1.0
 
     def test_real_fig3_shape(self):
-        """compare_traces on actual lazy runs reproduces the Fig. 3 verdict."""
-        from repro.easypap.monitor import Trace as T
+        """Diffing actual lazy runs reproduces the Fig. 3 verdict."""
         from repro.sandpile import run_to_fixpoint, sparse_random
 
-        traces = {}
+        tracers = {}
         iters = {}
         for ts in (8, 16):
             g = sparse_random(64, 64, n_piles=4, pile_grains=512, seed=3)
-            tr = T()
+            tr = Tracer()
             r = run_to_fixpoint(g, "asandpile", "omp", tile_size=ts, nworkers=4,
-                                lazy=True, trace=tr)
-            traces[ts] = tr
+                                lazy=True, tracer=tr)
+            tracers[ts] = tr
             iters[ts] = r.iterations
         mid = min(iters.values()) // 2
-        cmp = compare_traces(traces[8], traces[16], mid)
-        assert cmp.task_ratio > 1.0  # finer tiles -> more tasks
+        fine, coarse = (iteration_summary(tracers[ts], mid) for ts in (8, 16))
+        cmp = diff_summaries(fine, coarse)
+        assert cmp.span_ratio > 1.0  # finer tiles -> more tasks
+        assert cmp.makespan_ratio == pytest.approx(fine.makespan / coarse.makespan)

@@ -1,7 +1,6 @@
 """End-to-end runs of the three assignments at reduced scale."""
 
 import numpy as np
-import pytest
 
 from repro.carbon.tab1 import question1_baseline, question3_comparison
 from repro.carbon.tab2 import question1_baselines
@@ -24,15 +23,16 @@ class TestAssignment1Sandpile:
 
     def test_report_quality_numbers(self):
         """The numbers a student's report needs are all derivable."""
-        from repro.easypap.monitor import Trace
+        from repro.easypap.monitor import iteration_view
+        from repro.obs import Tracer, summarize
 
         g = center_pile(48, 48, 4000)
-        trace = Trace()
+        tracer = Tracer()
         result = run_to_fixpoint(
-            g, "sandpile", "omp", tile_size=8, nworkers=4, policy="dynamic", trace=trace
+            g, "sandpile", "omp", tile_size=8, nworkers=4, policy="dynamic", tracer=tracer
         )
-        summary = trace.summarize(result.iterations // 2)
-        assert summary.task_count > 0
+        summary = summarize(iteration_view(tracer, result.iterations // 2))
+        assert summary.span_count > 0
         assert summary.makespan > 0
         assert 0 <= summary.imbalance
 

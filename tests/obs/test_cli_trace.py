@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.cli import main, trace_main
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import iteration_view
 from repro.obs import Tracer, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
+from repro.sandpile import center_pile, run_to_fixpoint
 
 from tests.obs.chrome_checks import assert_valid_chrome_doc
 
@@ -26,18 +26,12 @@ def obs_session(tmp_path):
 
 @pytest.fixture
 def easypap_file(tmp_path):
-    """An easypap task-record file (no ``type`` keys -> auto-detected)."""
-    trace = Trace()
-    trace.extend(
-        [
-            TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-            TaskRecord(1, 1, 1, 0.25, 0.75, "compute", 0, 1),
-            TaskRecord(2, 0, 0, 1.0, 1.5, "compute", 0, 0),
-        ]
-    )
+    """The tile spans of a real ``lazy`` run, saved as an obs session."""
+    tracer = Tracer()
+    run_to_fixpoint(center_pile(16, 16, 300), "sandpile", "lazy", tile_size=4, tracer=tracer)
     path = tmp_path / "easypap.jsonl"
-    trace.save_jsonl(path)
-    return trace, path
+    tracer.save_jsonl(path)
+    return tracer, path
 
 
 class TestExport:
@@ -54,13 +48,17 @@ class TestExport:
         out = capsys.readouterr().out
         assert "2 spans" in out and "legend:" in out and "% busy" in out
 
-    def test_easypap_file_autodetected(self, easypap_file, tmp_path):
-        _, path = easypap_file
-        out = tmp_path / "chrome.json"
+    def test_easypap_session_exports_one_event_per_tile(self, easypap_file, tmp_path):
+        # tile spans are batch-relative, so one iteration is one valid timeline
+        tracer, _ = easypap_file
+        view = iteration_view(tracer, 3)
+        path, out = tmp_path / "iteration3.jsonl", tmp_path / "chrome.json"
+        view.save_jsonl(path)
         assert trace_main(["export", str(path), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert_valid_chrome_doc(doc)
-        assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == 3
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert len(events) == len(view) > 0
 
     def test_no_output_requested_is_an_error(self, obs_session, capsys):
         assert trace_main(["export", str(obs_session)]) == 2
@@ -69,20 +67,14 @@ class TestExport:
 
 class TestSummary:
     def test_matches_trace_summarize(self, easypap_file, capsys):
-        """Acceptance: CLI numbers == ``Trace.summarize`` on the same run."""
-        trace, path = easypap_file
-        assert trace_main(["summary", str(path), "--iteration", "1"]) == 0
+        """Acceptance: CLI numbers == ``summarize(iteration_view(...))``."""
+        tracer, path = easypap_file
+        assert trace_main(["summary", str(path), "--iteration", "3"]) == 0
         out = capsys.readouterr().out
 
-        expected = trace.summarize(1)
-        obs = summarize(
-            trace_to_tracer(trace), where=lambda s: s.args.get("iteration") == 1
-        )
-        assert obs.span_count == expected.task_count
-        assert obs.makespan == pytest.approx(expected.makespan)
-        assert obs.worker_busy == pytest.approx(expected.worker_busy)
-        # and the CLI printed exactly that summary
-        assert out == obs.render(title=f"{path} iteration 1") + "\n"
+        expected = summarize(iteration_view(tracer, 3))
+        assert expected.span_count > 0
+        assert out == expected.render(title=f"{path} iteration 3") + "\n"
 
     def test_whole_trace_summary(self, obs_session, capsys):
         assert trace_main(["summary", str(obs_session)]) == 0
@@ -98,12 +90,13 @@ class TestDiff:
         assert "makespan" in out and "ratio" in out
 
     def test_iteration_filter_applies_to_both_sides(self, easypap_file, capsys):
-        trace, path = easypap_file
+        tracer, path = easypap_file
         assert trace_main(["diff", str(path), str(path), "--iteration", "1"]) == 0
         out = capsys.readouterr().out
         assert f"{path} iteration 1 vs {path} iteration 1" in out
-        # iteration 1 has 2 of the 3 records on each side
-        assert "spans     : 2 vs 2" in out
+        n = len(iteration_view(tracer, 1))
+        assert 0 < n < len(tracer)
+        assert f"spans     : {n} vs {n}" in out
 
 
 class TestDispatch:

@@ -233,3 +233,28 @@ class TestServeSloSampleCounts:
         assert line.startswith(f"  queue[a]: n={n}")
         for q in ("p50", "p99"):
             assert (f"{q}=" in line) == (q in shown)
+
+
+class TestServeSloQuantileAccuracy:
+    def test_histogram_p50_within_one_bucket_of_raw_percentile(self):
+        """The SLO table's bucket estimate agrees with the bench's raw p50."""
+        import random
+        from bisect import bisect_left
+
+        from repro.obs.adapters.serve import estimate_quantile
+        from repro.serve import BenchReport
+
+        rng = random.Random(20220603)
+        latencies = [rng.lognormvariate(-3.0, 1.0) for _ in range(500)]
+        reg = MetricsRegistry()
+        # declared exactly as JobService declares it (default buckets)
+        h = reg.histogram("serve_job_seconds", "admit-to-complete job time")
+        labels = {"tenant": "a", "substrate": "easypap", "outcome": "completed"}
+        for v in latencies:
+            h.observe(v, **labels)
+
+        raw = BenchReport(requests=500, rate=1.0, duration=1.0, latencies=latencies)
+        estimate = estimate_quantile(h, 0.5, **labels)
+        assert estimate is not None
+        bucket = lambda v: bisect_left(h.buckets, v)  # noqa: E731 - observe()'s rule
+        assert abs(bucket(estimate) - bucket(raw.percentile(0.5))) <= 1

@@ -6,26 +6,24 @@ definition: named processes/threads, non-negative monotonic spans per
 lane, flow arrows that land on real spans.
 """
 
+import numpy as np
 import pytest
 
 import repro.sandpile.kernels  # noqa: F401 - registers the tile kernels
 from repro.common.resilience import DegradationLog, FaultInjector, RetryPolicy
 from repro.easypap.executor import ProcessBackend, TaskBatch, TileTask
 from repro.easypap.grid import Grid2D
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import EASYPAP_PID
 from repro.easypap.tiling import TileGrid
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.engine import run_job, run_job_parallel
 from repro.mapreduce.job import MapReduceJob
 from repro.obs import Tracer, summarize, to_chrome_trace
-from repro.obs.adapters.easypap import (
-    degradation_to_instants,
-    trace_to_tracer,
-    tracer_to_trace,
-)
+from repro.obs.adapters.easypap import degradation_to_instants
 from repro.obs.adapters.mapreduce import cluster_report_to_tracer
 from repro.obs.adapters.simmpi import stats_to_registry, world_report_summary
 from repro.obs.adapters.wrench import simulation_result_to_tracer
+from repro.sandpile.hybrid import HybridStepper
 from repro.simmpi.ghost import HaloExchanger, split_rows
 from repro.simmpi.runner import run_ranks
 
@@ -41,29 +39,33 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
 # -- easypap ----------------------------------------------------------------------
 
 
-def make_easypap_trace() -> Trace:
-    trace = Trace()
-    trace.extend(
-        [
-            TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-            TaskRecord(1, 1, 1, 0.0, 0.5, "gpu", 0, 1),
-            TaskRecord(2, 0, 0, 1.0, 1.25, "compute", 0, 0),
-        ]
-    )
-    return trace
+def make_hybrid_tracer() -> tuple[HybridStepper, Tracer]:
+    """Two iterations of a CPU+GPU run: compute and gpu tile spans."""
+    g = Grid2D(8, 8)
+    g.interior[:] = 5
+    tracer = Tracer()
+    stepper = HybridStepper(g, tile_size=4, nworkers=2, tracer=tracer, rebalance=False)
+    stepper()
+    stepper()
+    return stepper, tracer
 
 
 class TestEasypapAdapter:
-    def test_round_trip_is_lossless(self):
-        trace = make_easypap_trace()
-        back = tracer_to_trace(trace_to_tracer(trace))
-        assert back.records == trace.records
+    def test_round_trip_is_lossless(self, tmp_path):
+        _, tracer = make_hybrid_tracer()
+        path = tmp_path / "hybrid.jsonl"
+        tracer.save_jsonl(path)
+        assert Tracer.load_jsonl(path).spans() == tracer.spans()
 
     def test_spans_carry_tile_coordinates(self):
-        tracer = trace_to_tracer(make_easypap_trace())
-        s = tracer.spans()[1]
-        assert s.cat == "gpu" and s.tid == 1
-        assert s.args["tile_ty"] == 0 and s.args["tile_tx"] == 1
+        stepper, tracer = make_hybrid_tracer()
+        gpu = [s for s in tracer.spans() if s.cat == "gpu"]
+        assert gpu and all(s.pid == EASYPAP_PID for s in gpu)
+        assert {s.tid for s in gpu} == {stepper.gpu_worker_id}
+        # the last iteration's gpu spans cover exactly the device tiles
+        last = {(s.args["tile_ty"], s.args["tile_tx"]) for s in gpu if s.args["iteration"] == 1}
+        on_gpu = stepper.last_owner_map == stepper.gpu_worker_id
+        assert last == {(ty, tx) for ty, tx in np.argwhere(on_gpu).tolist()}
 
     def test_degradation_events_become_instants(self):
         log = DegradationLog()
@@ -84,19 +86,18 @@ class TestEasypapAdapter:
         scratch = g.data.copy()
         tiles = list(TileGrid(n, n, 4))
         spec = [TileTask("sync_tile", 0, 1, t) for t in tiles]
-        trace = Trace()
-        with ProcessBackend(2, "dynamic", trace=trace) as be:
+        tracer = Tracer()
+        with ProcessBackend(2, "dynamic", tracer=tracer) as be:
             be.bind_planes(g.data, scratch)
             be.run(TaskBatch([lambda: None] * len(tiles), tiles=tiles, spec=spec),
                    iteration=1)
-        assert len(trace) == len(tiles)
+        assert len(tracer) == len(tiles)
 
-        tracer = trace_to_tracer(trace)
         doc = to_chrome_trace(tracer)
         assert_valid_chrome_doc(doc)
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == len(tiles)
-        # per-tile data survived into the exported args, lossless
+        # each tile's coordinates ride in its exported event's args
         assert {(e["args"]["tile_ty"], e["args"]["tile_tx"]) for e in spans} == {
             (t.ty, t.tx) for t in tiles
         }

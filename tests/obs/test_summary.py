@@ -1,24 +1,31 @@
-"""Tests for trace summaries/diffs and agreement with ``Trace.summarize``."""
+"""Tests for trace summaries/diffs, including per-iteration easypap views."""
 
 import pytest
 
-from repro.easypap.monitor import TaskRecord, Trace
+from repro.easypap.monitor import iteration_view, record_tile
 from repro.obs import Tracer, diff_summaries, summarize
-from repro.obs.adapters.easypap import trace_to_tracer
 
 
-def make_easypap_trace() -> Trace:
-    trace = Trace()
+def make_easypap_tracer() -> Tracer:
+    tracer = Tracer()
     rows = [
         # iteration 1: two workers, uneven load
-        TaskRecord(1, 0, 0, 0.0, 1.0, "compute", 0, 0),
-        TaskRecord(1, 1, 0, 1.0, 1.5, "compute", 0, 1),
-        TaskRecord(1, 2, 1, 0.0, 0.75, "compute", 1, 0),
+        (1, 0, 0, 0.0, 1.0, "compute", 0, 0),
+        (1, 1, 0, 1.0, 1.5, "compute", 0, 1),
+        (1, 2, 1, 0.0, 0.75, "compute", 1, 0),
         # iteration 2: one worker
-        TaskRecord(2, 0, 0, 2.0, 2.5, "compute", 0, 0),
+        (2, 0, 0, 2.0, 2.5, "compute", 0, 0),
     ]
-    trace.extend(rows)
-    return trace
+    for row in rows:
+        record_tile(tracer, *row)
+    return tracer
+
+
+#: per-iteration numbers of make_easypap_tracer(), computed by hand
+EXPECTED = {
+    1: {"tasks": 3, "makespan": 1.5, "work": 2.25, "busy": {0: 1.5, 1: 0.75}},
+    2: {"tasks": 1, "makespan": 0.5, "work": 0.5, "busy": {0: 0.5}},
+}
 
 
 class TestSummarize:
@@ -63,27 +70,25 @@ class TestSummarize:
 
 
 class TestAgreementWithEasypapSummaries:
-    """``trace summary --iteration N`` must match ``Trace.summarize(N)``."""
+    """``summarize(iteration_view(t, N))`` gives one iteration's numbers, and
+    ``trace summary --iteration N`` (a ``where`` filter) agrees with it."""
 
     @pytest.mark.parametrize("iteration", [1, 2])
     def test_per_iteration_numbers_agree(self, iteration):
-        trace = make_easypap_trace()
-        expected = trace.summarize(iteration)
-        got = summarize(
-            trace_to_tracer(trace),
-            where=lambda s: s.args.get("iteration") == iteration,
-        )
-        assert got.span_count == expected.task_count
-        assert got.makespan == pytest.approx(expected.makespan)
-        assert got.total_busy == pytest.approx(expected.total_work)
-        assert got.worker_busy == pytest.approx(expected.worker_busy)
-        assert got.imbalance == pytest.approx(expected.imbalance)
+        tracer = make_easypap_tracer()
+        expected = EXPECTED[iteration]
+        got = summarize(iteration_view(tracer, iteration))
+        assert got.span_count == expected["tasks"]
+        assert got.makespan == pytest.approx(expected["makespan"])
+        assert got.total_busy == pytest.approx(expected["work"])
+        assert got.worker_busy == pytest.approx(expected["busy"])
+        busy = list(expected["busy"].values())
+        assert got.imbalance == pytest.approx(max(busy) / (sum(busy) / len(busy)) - 1)
+        filtered = summarize(tracer, where=lambda s: s.args.get("iteration") == iteration)
+        assert filtered.render() == got.render()
 
     def test_task_counts_per_worker(self):
-        got = summarize(
-            trace_to_tracer(make_easypap_trace()),
-            where=lambda s: s.args.get("iteration") == 1,
-        )
+        got = summarize(iteration_view(make_easypap_tracer(), 1))
         assert got.task_counts == {0: 2, 1: 1}
 
 

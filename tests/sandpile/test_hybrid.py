@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.easypap.monitor import Trace
+from repro.easypap.monitor import iteration_view, tile_owner_map
+from repro.obs import Tracer, ascii_timeline
 from repro.sandpile.gpu import DeviceModel
 from repro.sandpile.hybrid import CpuModel, HybridStepper
 from repro.sandpile.model import center_pile, random_uniform
@@ -121,9 +122,13 @@ class TestOwnerMap:
         assert (s.last_owner_map == -1).any()
 
     def test_trace_kinds(self):
-        trace = Trace()
+        tracer = Tracer()
         g = center_pile(16, 16, 400)
-        s = HybridStepper(g, tile_size=4, nworkers=2, trace=trace, rebalance=False)
+        s = HybridStepper(g, tile_size=4, nworkers=2, tracer=tracer, rebalance=False)
         s()
-        kinds = {r.kind for r in trace.records}
+        kinds = {span.cat for span in tracer.spans()}
         assert kinds == {"compute", "gpu"}
+        view = iteration_view(tracer, 0)
+        # the traced owner map is the stepper's own Fig. 4 data
+        assert (tile_owner_map(view, 4, 4) == s.last_owner_map).all()
+        assert "G=gpu" in ascii_timeline(view)

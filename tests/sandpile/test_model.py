@@ -1,6 +1,5 @@
 """Tests for initial sandpile configurations."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.easypap.executor import ProcessBackend, SimulatedBackend, ThreadBackend
-from repro.easypap.monitor import Trace
-from repro.sandpile.model import center_pile, random_uniform, sparse_random
+from repro.easypap.monitor import iteration_view, tile_owner_map
+from repro.obs import Tracer
+from repro.sandpile.model import center_pile, sparse_random
 from repro.sandpile.omp import TiledAsyncStepper, TiledSyncStepper, wave_partition
 from repro.easypap.tiling import TileGrid
 from repro.sandpile.theory import stabilize
@@ -79,12 +80,12 @@ class TestTiledSyncStepper:
         assert np.array_equal(g.interior, small_random_stable.interior)
 
     def test_trace_records_tiles(self):
-        trace = Trace()
+        tracer = Tracer()
         g = center_pile(16, 16, 64)
-        backend = SimulatedBackend(2, "static", trace=trace)
+        backend = SimulatedBackend(2, "static", tracer=tracer)
         drive(TiledSyncStepper(g, 8, backend=backend))
-        assert len(trace) > 0
-        owners = trace.tile_owner_map(2, 2, 0)
+        assert len(tracer) > 0
+        owners = tile_owner_map(iteration_view(tracer, 0), 2, 2)
         assert (owners >= 0).all()  # eager: every tile computed at iteration 0
 
 
@@ -174,17 +175,17 @@ class TestProcessBackendSteppers:
             stepper.close()
 
     def test_trace_has_stable_worker_lanes(self, small_random_grid):
-        trace = Trace()
+        tracer = Tracer()
         g = small_random_grid.copy()
-        stepper = TiledSyncStepper(g, 6, backend=ProcessBackend(2, "dynamic", trace=trace))
+        stepper = TiledSyncStepper(g, 6, backend=ProcessBackend(2, "dynamic", tracer=tracer))
         try:
             for _ in range(5):
                 stepper()
         finally:
             stepper.close()
-        workers = {r.worker for r in trace.records}
+        workers = {s.tid for s in tracer.spans()}
         assert workers <= {0, 1}
-        assert all(r.end >= r.start for r in trace.records)
+        assert all(s.end >= s.start for s in tracer.spans())
 
     def test_close_detaches_grid_from_shared_memory(self, small_random_grid):
         g = small_random_grid.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import KernelError
-from repro.easypap.monitor import Trace
+from repro.obs import Tracer
 from repro.sandpile.model import center_pile, random_uniform, sparse_random
 from repro.sandpile.simulate import make_stepper, run_to_fixpoint
 
@@ -70,11 +70,11 @@ class TestRunResult:
             run_to_fixpoint(g, "sandpile", "vec", max_iterations=3)
 
     def test_trace_carried(self):
-        trace = Trace()
+        tracer = Tracer()
         g = center_pile(16, 16, 100)
-        r = run_to_fixpoint(g, "sandpile", "omp", tile_size=8, nworkers=2, trace=trace)
-        assert r.trace is trace
-        assert len(trace) > 0
+        r = run_to_fixpoint(g, "sandpile", "omp", tile_size=8, nworkers=2, tracer=tracer)
+        assert r.tracer is tracer
+        assert len(tracer) > 0
 
 
 class TestMakeStepper:

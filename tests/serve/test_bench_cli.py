@@ -2,11 +2,13 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.cli import serve_main
 from repro.common.errors import ConfigurationError
+from repro.common.job import Job, JobProgress
 from repro.serve import (
     BenchReport,
     JobService,
@@ -14,8 +16,36 @@ from repro.serve import (
     ServiceConfig,
     TenantPolicy,
     load_config,
+    register_workload,
     run_bench,
 )
+
+#: opened once every request of a bench run has been submitted
+SUBMISSIONS_IN = threading.Event()
+
+
+class GatedJob(Job):
+    """One step that holds its worker until ``SUBMISSIONS_IN`` opens."""
+
+    name = "gated"
+    substrate = "test"
+
+    def __init__(self):
+        self.done = False
+
+    def step(self):
+        SUBMISSIONS_IN.wait(timeout=30.0)
+        self.done = True
+        return False
+
+    def result(self):
+        return {"gated": True}
+
+    def progress(self):
+        return JobProgress(steps_done=int(self.done), done=self.done, steps_total=1)
+
+
+register_workload("test", "gated", lambda p: GatedJob())
 
 FAST_MIX = [
     JobSpec("mapreduce", "wordcount", {"nsplits": 2, "lines_per_split": 2}),
@@ -57,11 +87,25 @@ class TestRunBench:
             assert sum(a.by_tenant[tenant].values()) == sum(b.by_tenant[tenant].values())
 
     def test_shedding_shows_up_in_the_report(self):
+        # the first job holds the only active slot until all 12 requests are
+        # in, so with one queue place the rest must be shed as queue-full
+        SUBMISSIONS_IN.clear()
+
         async def body():
             pol = TenantPolicy(name="a", max_active=1, max_queued=1)
             async with JobService([pol], workers=1) as svc:
+                submit, submitted = svc.submit, []
+
+                def counting_submit(spec, **kw):
+                    handle = submit(spec, **kw)
+                    submitted.append(handle)
+                    if len(submitted) == 12:
+                        SUBMISSIONS_IN.set()
+                    return handle
+
+                svc.submit = counting_submit
                 return await run_bench(svc, requests=12, rate=5000.0, seed=0,
-                                       specs=FAST_MIX, tenants=["a"])
+                                       specs=[JobSpec("test", "gated", {})], tenants=["a"])
 
         report = run_async(body())
         assert report.rejected > 0

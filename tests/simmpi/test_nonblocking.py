@@ -1,7 +1,5 @@
 """Tests for non-blocking point-to-point operations."""
 
-import pytest
-
 from repro.simmpi import run_ranks
 
 

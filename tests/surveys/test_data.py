@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.surveys.data import BIG_DATA_SURVEY, EASYPAP_SURVEY, TABLE_I, Survey, SurveyQuestion
+from repro.surveys.data import BIG_DATA_SURVEY, EASYPAP_SURVEY, TABLE_I, SurveyQuestion
 
 
 class TestSurveyQuestion:

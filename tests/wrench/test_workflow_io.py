@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.wrench.platform import make_platform
 from repro.wrench.simulation import simulate
-from repro.wrench.workflow import Task, Workflow, WorkflowFile, montage_workflow
+from repro.wrench.workflow import Workflow, montage_workflow
 
 
 class TestRoundtrip:
